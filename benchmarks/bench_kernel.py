@@ -19,7 +19,7 @@ except ImportError:
 
 WORKLOADS = [
     ("triangles s=3", dict(degrees=(6, 6, 6), triangles_only=True), False),
-    ("triangles s=4", dict(degrees=(6, 6, 6, 6), triangles_only=True), True),
+    ("triangles s=4", dict(degrees=(6, 6, 6, 6), triangles_only=True), False),
     ("general (6,6,4)", dict(degrees=(6, 6, 4), triangles_only=False), False),
     ("general (6,6,6)", dict(degrees=(6, 6, 6), triangles_only=False), True),
 ]

@@ -28,6 +28,21 @@ triangle mode, open face paths longer than three darts are dead.  When a
 torus is required, the final face count must be exactly ``E - V``, so a
 branch dies as soon as the closed-face count exceeds that, or the remaining
 darts cannot supply enough faces of the minimum size.
+
+Forced completion (triangle mode).  An unmatched dart ``x`` that ends a
+two-arc face path ``z -> y -> x`` has one legal partner, ``rho_inv[z]``,
+which closes the triangle.  Each node places such a forced pair, if there
+is one, before it branches on the lowest unmatched dart; the branch dies if
+the forced partner is ``x`` itself or already matched.  Only the two arcs a
+placement creates can extend a path to two arcs, so the candidates for the
+next forced pair are the darts at most two arcs after them.  No dart is
+forced at the root, so ``first_partner`` still fixes dart 0's partner.  The
+leaves are the same as without forcing: every complete all-triangle
+matching contains each forced pair of its partial matchings.
+
+Canonical keys.  A traversal is abandoned at the first byte of its code
+that exceeds the best code so far; ties reveal automorphisms whose orbits
+of start darts need no traversal (see :func:`canonical_code`).
 """
 
 BACKEND = "pure"
@@ -49,6 +64,11 @@ def standard_rotation(degrees):
     return vert, rho, rho_inv
 
 
+def _rotation_half(walk):
+    r, order, lab = walk
+    return bytes([lab[r[d]] for d in order])
+
+
 def canonical_code(degrees, matching):
     """Canonical key of a connected fat graph, as bytes.
 
@@ -58,20 +78,39 @@ def canonical_code(degrees, matching):
     when the fat graphs are related by a relabelling of darts preserving the
     rotation system, i.e. by vertex relabelling, rotation of the cyclic
     orders, or a global reflection.
+
+    Byte ``i`` of a traversal's code is known once its node ``i`` is
+    processed, so a traversal is abandoned at the first byte above the best
+    code.  A traversal whose whole code ties with the best one in the same
+    orientation exhibits an automorphism (dart ``order_best[i]`` to
+    ``order[i]``); starts in the orbit of an earlier start repeat its code
+    and are skipped.  A tie across the orientations exhibits a reflection,
+    under which the second orientation repeats the first one's codes, so
+    the search stops there.
     """
     n = sum(degrees)
     _, rho, rho_inv = standard_rotation(degrees)
     M = matching
-    best = None
-    lab = [0] * n
-    order = [0] * n
+    best = None  # matching half of the best code so far
+    best_rot = None  # its rotation half, built on the first tie
+    best_walk = None  # (orientation, order, labels) of that traversal
+    orbit = list(range(n))  # union-find over darts; a root is its orbit's least dart
+
+    def root(x):
+        while orbit[x] != x:
+            orbit[x] = x = orbit[orbit[x]]
+        return x
+
     for r in (rho, rho_inv):
         for start in range(n):
-            for i in range(n):
-                lab[i] = -1
+            if root(start) != start:
+                continue
+            lab = [-1] * n
             lab[start] = 0
+            order = [0] * n
             order[0] = start
             filled = 1
+            tie = best is not None  # code prefix equals best so far
             i = 0
             while i < filled:
                 d = order[i]
@@ -87,15 +126,44 @@ def canonical_code(degrees, matching):
                     lab[m] = filled
                     order[filled] = m
                     filled += 1
+                if tie:
+                    # byte i of the code is lab[m]; leave at the first larger one
+                    c = lab[m]
+                    if c != best[i]:
+                        if c > best[i]:
+                            break
+                        tie = False
                 i += 1
-            if filled != n:
-                raise ValueError("canonical_code requires a connected graph")
-            code = bytes(lab[M[order[i]]] for i in range(n)) + bytes(
-                lab[r[order[i]]] for i in range(n)
-            )
-            if best is None or code < best:
-                best = code
-    return best
+            else:
+                if filled != n:
+                    raise ValueError("canonical_code requires a connected graph")
+                walk = (r, order, lab)
+                if not tie:
+                    best = bytes([lab[M[d]] for d in order])
+                    best_rot = None
+                    best_walk = walk
+                    continue
+                if best_rot is None:
+                    best_rot = _rotation_half(best_walk)
+                rot = _rotation_half(walk)
+                if rot < best_rot:
+                    best_rot = rot
+                    best_walk = walk
+                elif rot == best_rot:
+                    if best_walk[0] is not r:
+                        return best + best_rot
+                    for x, y in zip(best_walk[1], order):
+                        x = root(x)
+                        y = root(y)
+                        if x < y:
+                            orbit[y] = x
+                        elif y < x:
+                            orbit[x] = y
+    if best is None:
+        return None  # no darts
+    if best_rot is None:
+        best_rot = _rotation_half(best_walk)
+    return best + best_rot
 
 
 def search_matchings(
@@ -222,7 +290,58 @@ def search_matchings(
         if prev is None or cand < prev:
             out[key] = cand
 
-    def rec(lowest, closed_faces, closed_darts):
+    def forced_partner(x):
+        """In triangle mode, the partner that closes the face path ending at
+        the unmatched dart ``x``: ``rho_inv[z]`` when the path is ``z -> y
+        -> x``, else -1."""
+        p = rho_inv[x]
+        if M[p] < 0:
+            return -1
+        p = rho_inv[M[p]]
+        if M[p] < 0:
+            return -1
+        return rho_inv[M[p]]
+
+    def place(a, b, closed_faces, closed_darts):
+        """Face and Euler checks for the pair ``(a, b)`` just placed; returns
+        the new closed-face and closed-dart counts, or None if the branch
+        dies."""
+        ok, faces, darts = closures_ok(a, b)
+        if not ok:
+            return None
+        cf = closed_faces + faces
+        cd = closed_darts + darts
+        if require_torus and (cf > need_faces or cf + (n - cd) // mf < need_faces):
+            return None
+        return cf, cd
+
+    def touched(a, b):
+        """Darts whose face path may have grown to two arcs by placing ``(a, b)``."""
+        darts = []
+        for x in (rho[b], rho[a]):
+            darts.append(x)
+            if M[x] >= 0:
+                darts.append(rho[M[x]])
+        return darts
+
+    def rec(lowest, closed_faces, closed_darts, pending):
+        while pending:
+            x = pending.pop()
+            if M[x] >= 0:
+                continue
+            w = forced_partner(x)
+            if w < 0:
+                continue
+            if w == x or M[w] >= 0:
+                return
+            M[x] = w
+            M[w] = x
+            counts = place(x, w, closed_faces, closed_darts)
+            if counts is not None:
+                rec(lowest, *counts, pending + touched(x, w))
+            M[x] = -1
+            M[w] = -1
+            return
         a = lowest
         while a < n and M[a] >= 0:
             a += 1
@@ -239,16 +358,11 @@ def search_matchings(
                 continue
             M[a] = b
             M[b] = a
-            ok, faces, darts = closures_ok(a, b)
-            if ok and require_torus:
-                cf = closed_faces + faces
-                cd = closed_darts + darts
-                if cf > need_faces or cf + (n - cd) // mf < need_faces:
-                    ok = False
-            if ok:
-                rec(a + 1, closed_faces + faces, closed_darts + darts)
+            counts = place(a, b, closed_faces, closed_darts)
+            if counts is not None:
+                rec(a + 1, *counts, touched(a, b) if triangles_only else [])
             M[a] = -1
             M[b] = -1
 
-    rec(0, 0, 0)
+    rec(0, 0, 0, [])
     return out

@@ -269,6 +269,8 @@ def klein(m_, scan):
 )
 def verify_all(json_path, workers, fault_inject):
     """Run the whole acceptance suite, one pass/fail line per criterion."""
+    if workers < 1:
+        raise click.UsageError("--workers must be >= 1")
     click.echo(f"backend: {kernel.BACKEND}")
     results = verify_mod.run_all(workers=workers, fault=fault_inject)
     for r in results:

@@ -10,6 +10,7 @@ generator doubles as the completeness oracle at small scale.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 
 from toruscert import _kernel_py, kernel
@@ -79,8 +80,11 @@ def _search(degrees, triangles_only, min_face, workers):
     tasks = [
         (degrees, triangles_only, min_face, b) for b in range(1, n)
     ]
+    # more processes than cores or tasks would only wait; the task partition,
+    # and so the result, does not depend on the pool size
+    size = min(workers, len(os.sched_getaffinity(0)), len(tasks))
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers) as pool:
+    with ctx.Pool(size) as pool:
         results = pool.map(_search_task, tasks)
     return _merge(results)
 

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from toruscert import fileformat
+from toruscert import verify as verify_mod
 from toruscert.cli import cli, main
 from tests.test_embedded import triple_loop_graph
 
@@ -100,3 +101,12 @@ def test_klein_command(runner):
 def test_verify_all_fault_injection(tmp_path):
     # a deliberately corrupted expected table must make the suite fail
     assert main(["verify-all", "--fault-inject", "corrupt-klein"]) == 1
+
+
+def test_verify_all_rejects_zero_workers_before_any_work(monkeypatch):
+    def run_all(**kwargs):
+        raise AssertionError("verify-all started work")
+
+    monkeypatch.setattr(verify_mod, "run_all", run_all)
+    assert main(["verify-all", "--workers", "0"]) == 64
+    assert main(["certify", "--s", "3", "--t", "3", "--delta", "6", "--workers", "0"]) == 64

@@ -1,4 +1,7 @@
 """Enumeration driver: completeness, determinism, worker partitioning."""
+import multiprocessing
+import os
+
 import pytest
 
 from toruscert.enumeration import (
@@ -68,6 +71,36 @@ def test_workers_produce_identical_classes():
     assert [(c.degrees, c.matching, c.key) for c in one] == [
         (c.degrees, c.matching, c.key) for c in two
     ]
+
+
+def test_pool_size_is_clamped_to_cores_and_tasks(monkeypatch):
+    # a stand-in pool records the size asked for and runs the tasks in this
+    # process, so an absurd worker count starts no process at all
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+    class InlineContext:
+        Pool = InlinePool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: InlineContext)
+    many = enumerate_reduced_torus_graphs(
+        2, degrees=(6, 6), triangles_only=True, workers=10**6
+    )
+    one = enumerate_reduced_torus_graphs(2, degrees=(6, 6), triangles_only=True)
+    assert sizes == [min(len(os.sched_getaffinity(0)), 11)]  # 11 first-partner tasks
+    assert many == one
 
 
 def test_odd_degree_spec_is_empty():

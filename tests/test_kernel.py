@@ -1,7 +1,11 @@
-"""The two kernel backends must agree bit for bit."""
+"""The two kernel backends must agree bit for bit, and the pure kernel's
+canonical keys must agree with a full-traversal reference."""
+import random
+
 import pytest
 
 from toruscert import _kernel_py
+from toruscert.fatgraph import FatGraph
 
 try:
     from toruscert import _kernel as _compiled
@@ -42,7 +46,67 @@ def test_canonical_codes_agree(degrees, tri):
         )
 
 
-@pytest.mark.parametrize("degrees,tri", [((6, 6), True), ((6, 4, 2), False)])
+def reference_code(degrees, matching):
+    """Canonical key by brute force: the least code over every start dart and
+    both orientations, each traversal run to the end."""
+    n = sum(degrees)
+    _, rho, rho_inv = _kernel_py.standard_rotation(degrees)
+    codes = []
+    for r in (rho, rho_inv):
+        for start in range(n):
+            lab = [-1] * n
+            lab[start] = 0
+            order = [start]
+            for d in order:
+                cur = r[d]
+                while cur != d:
+                    if lab[cur] < 0:
+                        lab[cur] = len(order)
+                        order.append(cur)
+                    cur = r[cur]
+                if lab[matching[d]] < 0:
+                    lab[matching[d]] = len(order)
+                    order.append(matching[d])
+            assert len(order) == n, "reference_code needs a connected graph"
+            codes.append(
+                bytes(lab[matching[d]] for d in order) + bytes(lab[r[d]] for d in order)
+            )
+    return min(codes)
+
+
+def random_standard_relabelling(rng, graph):
+    """The same fat graph under a random relabelling that keeps the degree
+    sequence: permute vertices of equal degree, shift each vertex's
+    rotation, and maybe reflect."""
+    order = list(range(graph.num_vertices))
+    for deg in set(graph.degrees):
+        slots = [v for v in range(graph.num_vertices) if graph.degrees[v] == deg]
+        moved = rng.sample(slots, len(slots))
+        for slot, v in zip(slots, moved):
+            order[slot] = v
+    rotations = [rng.randrange(graph.degrees[v]) for v in order]
+    return graph.relabelled(order, rotations, rng.random() < 0.5)
+
+
+@pytest.mark.parametrize("degrees,tri", SHAPES)
+def test_canonical_code_matches_full_traversal_reference(degrees, tri):
+    rng = random.Random(f"{degrees}-{tri}")
+    for key, matching in _kernel_py.search_matchings(degrees, triangles_only=tri).items():
+        want = reference_code(degrees, matching)
+        assert key == want
+        assert _kernel_py.canonical_code(degrees, matching) == want
+        graph = FatGraph(degrees, matching)
+        for _ in range(8):
+            other = random_standard_relabelling(rng, graph)
+            assert other.degrees == graph.degrees
+            assert reference_code(degrees, other.matching) == want
+            assert _kernel_py.canonical_code(degrees, other.matching) == want
+
+
+@pytest.mark.parametrize(
+    "degrees,tri",
+    [((6, 6), True), ((6, 4, 2), False), ((6, 6, 6), True), ((6, 6, 4), False)],
+)
 def test_first_partner_partitions_the_search(degrees, tri):
     whole = _kernel_py.search_matchings(degrees, triangles_only=tri)
     merged = {}
