@@ -22,11 +22,12 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from toruscert._version import ENGINE_NAME, ENGINE_VERSION
 from toruscert.constraints import negative_size_bound
 from toruscert.enumeration import enumerate_reduced_torus_graphs
-from toruscert.errors import ScaleLimit
+from toruscert.errors import InvariantViolation, ScaleLimit
 from toruscert.fatgraph import FatGraph
 from toruscert.params import NEUTRAL, POLARIZED, CaseParams, max_s, max_t
 from toruscert.perms import InducedPermutation
@@ -36,14 +37,14 @@ from toruscert.perms import InducedPermutation
 # decorated configurations
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One reduced edge of a decorated configuration.
 
     ``shift`` is the constant of the member label matching in 0-based form:
     member labels satisfy ``y = shift - sign * x`` (mod t).  It depends only
     on the endpoint offsets and parities because every family has full size,
-    so all label blocks start at multiples of t.
+    so all label blocks start at multiples of t.  (The field ``index``
+    shadows ``tuple.index``.)
     """
 
     index: int
@@ -69,8 +70,7 @@ class Family:
         return InducedPermutation(t, (self.shift + self.sign + 1) % t, self.sign)
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     """A decorated candidate: graph class + vertex parities + label offsets."""
 
     degrees: tuple
@@ -98,23 +98,29 @@ class Config:
         }
 
 
+# builds a record from a field tuple without the keyword handling of the
+# NamedTuple constructor; make_config runs once per configuration
+_record = tuple.__new__
+
+
 def make_config(graph: FatGraph, key: bytes, parities, offsets, t) -> Config:
     families = []
-    for i, (a, b) in enumerate(graph.edge_darts()):
-        u, v = graph.vertex_of(a), graph.vertex_of(b)
-        sign = parities[u] * parities[v]
-        shift = (offsets[v] - parities[v] + sign * offsets[u]) % t
-        families.append(
-            Family(index=i, u=u, v=v, sign=sign, shift=shift, is_loop=u == v)
-        )
-    return Config(
-        degrees=graph.degrees,
-        matching=graph.matching,
-        graph_key=key,
-        parities=tuple(parities),
-        offsets=tuple(offsets),
-        t=t,
-        families=tuple(families),
+    for i, (u, v) in enumerate(graph.edge_ends()):
+        pv = parities[v]
+        sign = parities[u] * pv
+        shift = (offsets[v] - pv + sign * offsets[u]) % t
+        families.append(_record(Family, (i, u, v, sign, shift, u == v)))
+    return _record(
+        Config,
+        (
+            graph.degrees,
+            graph.matching,
+            key,
+            tuple(parities),
+            tuple(offsets),
+            t,
+            tuple(families),
+        ),
     )
 
 
@@ -238,12 +244,6 @@ class Rule:
     anchor: str
     stage: str
     fn: object
-
-
-@dataclass
-class RuleStats:
-    applied: int = 0
-    eliminated: int = 0
 
 
 @dataclass(frozen=True)
@@ -461,10 +461,10 @@ def _connector_split(config):
     loops = [f for f in config.families if f.is_loop]
     conns = [f for f in config.families if not f.is_loop]
     if len(loops) != 2 or len(conns) != 4:
-        raise AssertionError("two-vertex standard form expected")
+        raise InvariantViolation("two-vertex standard form expected")
     keys = {(f.sign, f.shift) for f in conns}
     if len(keys) != 1:
-        raise AssertionError("connecting families must induce one permutation")
+        raise InvariantViolation("connecting families must induce one permutation")
     return loops, conns[0]
 
 
@@ -578,10 +578,10 @@ _TWO_VERTEX_RULES = [
 def _r_one_vertex_neg_size(config, env):
     loops = [f for f in config.families if f.is_loop]
     if len(loops) != 3 or len(config.families) != 3:
-        raise AssertionError("one-vertex form expected")
+        raise InvariantViolation("one-vertex form expected")
     shifts = {f.shift for f in loops}
     if len(shifts) != 1:
-        raise AssertionError("the three loop families must induce one permutation")
+        raise InvariantViolation("the three loop families must induce one permutation")
     bound = negative_size_bound(env.s, allow_exceptional=True)
     return {
         "partner_family_size": 3,
@@ -779,29 +779,27 @@ def certify_case(params: CaseParams, *, mode="auto", workers=1, rule_limit=None)
     chain = build_chain(s)
     if rule_limit is not None:
         chain = chain[:rule_limit]
-    stats = {rule.name: RuleStats() for rule in chain}
+    # the functions are taken from the chain as built, so a wrapped rule is
+    # the one that runs; every configuration is eliminated by one rule or
+    # survives, so the applied counts follow by conservation
+    fns = [rule.fn for rule in chain]
+    eliminated = [0] * len(fns)
     survivors = 0
     samples = []
     for cls in classes:
         for config in iter_configs(cls, t):
-            eliminated = False
-            for rule in chain:
-                stats[rule.name].applied += 1
-                witness = rule.fn(config, env)
-                if witness is not None:
-                    stats[rule.name].eliminated += 1
-                    eliminated = True
+            for k, fn in enumerate(fns):
+                if fn(config, env) is not None:
+                    eliminated[k] += 1
                     break
-            if not eliminated:
+            else:
                 survivors += 1
                 if len(samples) < 5:
                     samples.append(config.describe())
-    for rule in chain:
-        log.append(
-            _log_entry(
-                rule.name, rule.anchor, stats[rule.name].applied, stats[rule.name].eliminated
-            )
-        )
+    applied = survivors + sum(eliminated)
+    for rule, gone in zip(chain, eliminated):
+        log.append(_log_entry(rule.name, rule.anchor, applied, gone))
+        applied -= gone
     cert = CaseCertificate(
         params=params,
         mode="enumeration",
@@ -835,7 +833,7 @@ def _two_vertex_form_key(classes):
         if ok:
             hits.append(cls.key)
     if len(hits) != 1:
-        raise AssertionError(
+        raise InvariantViolation(
             f"expected exactly one antipodal-loop two-vertex class, found {len(hits)}"
         )
     return hits[0]

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verdict violation or failed verification, 2 scale
-limit, 64 usage error.
+limit, 3 broken internal invariant (an engine bug), 64 usage error (including
+a ``TORUSCERT_MAX_S``/``TORUSCERT_MAX_T`` that is not a positive integer).
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from toruscert.constraints import (
     positive_size_bound,
 )
 from toruscert.embedded import reduce_graph
-from toruscert.errors import GraphError, ScaleLimit, WrongDelta
+from toruscert.errors import GraphError, InvariantViolation, ScaleLimit, WrongDelta
 from toruscert.homology import scan_klein_slopes, solve_klein_slopes
 from toruscert.perms import InducedPermutation, orbit_count
 from toruscert import verify as verify_mod
@@ -299,6 +300,9 @@ def main(argv=None):
     except ScaleLimit as exc:
         click.echo(f"scale limit: {exc}", err=True)
         return 2
+    except InvariantViolation as exc:
+        click.echo(f"internal invariant violated: {exc}", err=True)
+        return 3
     except WrongDelta as exc:
         click.echo(f"error: {exc}", err=True)
         return 1

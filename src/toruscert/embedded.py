@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from toruscert.errors import (
     LabelBlockViolation,
-    NotCellular,
     ParityContradiction,
     SlotCollision,
 )
@@ -71,10 +70,6 @@ class Face:
 
     def __len__(self):
         return len(self.sides)
-
-    @property
-    def corner_labels(self):
-        return tuple(lab for _, lab in self.corners)
 
 
 @dataclass(frozen=True)
@@ -278,16 +273,6 @@ def euler_characteristic(g: EmbeddedGraph):
     return g.fat.euler_characteristic()
 
 
-def assert_cellular_torus(g):
-    """Raise :class:`NotCellular` unless the derived surface is a torus."""
-    fat = g.fat if isinstance(g, EmbeddedGraph) else g
-    if not fat.is_connected() or fat.euler_characteristic() != 0:
-        raise NotCellular(
-            f"derived surface has chi={fat.euler_characteristic()},"
-            f" connected={fat.is_connected()}; expected a torus"
-        )
-
-
 @dataclass(frozen=True)
 class ReducedGraph:
     """Result of amalgamating parallel families: a reduced fat graph whose
@@ -298,9 +283,6 @@ class ReducedGraph:
     families: tuple
     delta: int
     n_opposite: int
-
-    def family_sizes(self):
-        return tuple(f.size for f in self.families)
 
 
 def reduce_graph(g: EmbeddedGraph) -> ReducedGraph:

@@ -39,3 +39,7 @@ class NonPrimitive(ValueError):
 
 class ScaleLimit(RuntimeError):
     """Requested parameters exceed the configured desk-scale caps."""
+
+
+class InvariantViolation(RuntimeError):
+    """An internal invariant of the engine failed: a bug, not bad input."""

@@ -19,13 +19,14 @@ from toruscert.errors import NotCellular
 class FatGraph:
     """An embedded graph given by a rotation system."""
 
-    __slots__ = ("degrees", "matching", "_vert", "_rho", "_rho_inv", "_faces")
+    __slots__ = ("degrees", "matching", "_vert", "_rho", "_rho_inv", "_faces", "_ends")
 
     def __init__(self, degrees, matching, check=True):
         self.degrees = tuple(degrees)
         self.matching = tuple(matching)
         self._vert, self._rho, self._rho_inv = _kernel_py.standard_rotation(self.degrees)
         self._faces = None
+        self._ends = None
         if check:
             n = sum(self.degrees)
             if len(self.matching) != n:
@@ -97,24 +98,27 @@ class FatGraph:
             out[d] = idx[d]
         return out
 
+    def edge_ends(self):
+        """Vertex pairs ``(u, v)`` of the edges, in :meth:`edge_darts` order.
+
+        Computed once per graph and cached.
+        """
+        if self._ends is None:
+            vert = self._vert
+            self._ends = tuple((vert[a], vert[b]) for a, b in self.edge_darts())
+        return self._ends
+
     def loop_edges(self):
         """Edge indices whose two ends share a vertex."""
-        return tuple(
-            i
-            for i, (a, b) in enumerate(self.edge_darts())
-            if self._vert[a] == self._vert[b]
-        )
+        return tuple(i for i, (u, v) in enumerate(self.edge_ends()) if u == v)
 
     def loops_at(self, vertex):
         return tuple(
-            i
-            for i, (a, b) in enumerate(self.edge_darts())
-            if self._vert[a] == vertex and self._vert[b] == vertex
+            i for i, (u, v) in enumerate(self.edge_ends()) if u == v == vertex
         )
 
     def endpoints(self, edge_index):
-        a, b = self.edge_darts()[edge_index]
-        return self._vert[a], self._vert[b]
+        return self.edge_ends()[edge_index]
 
     # -- faces and the derived surface ------------------------------------
 

@@ -11,12 +11,27 @@ DEFAULT_MAX_S = 4
 DEFAULT_MAX_T = 6
 
 
+def _cap(name, default):
+    """The positive integer in environment variable ``name``, or ``default``
+    when it is unset; any other value raises :class:`ValueError`."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
+    return value
+
+
 def max_s():
-    return int(os.environ.get("TORUSCERT_MAX_S", DEFAULT_MAX_S))
+    return _cap("TORUSCERT_MAX_S", DEFAULT_MAX_S)
 
 
 def max_t():
-    return int(os.environ.get("TORUSCERT_MAX_T", DEFAULT_MAX_T))
+    return _cap("TORUSCERT_MAX_T", DEFAULT_MAX_T)
 
 
 @dataclass(frozen=True)

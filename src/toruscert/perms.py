@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from toruscert.errors import FamilyTooSmall
+from toruscert.errors import FamilyTooSmall, InvariantViolation
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,6 @@ class InducedPermutation:
         if self.epsilon == 1:
             return self
         return InducedPermutation(self.modulus, (-self.alpha) % self.modulus, -1)
-
-    def compose(self, other):
-        """``self`` after ``other`` as an explicit mapping tuple."""
-        if self.modulus != other.modulus:
-            raise ValueError("moduli differ")
-        return tuple(self.apply(other.apply(x)) for x in range(1, self.modulus + 1))
 
     def orbits(self):
         return orbit_count(self).orbits
@@ -145,12 +139,12 @@ def orbit_count(p: InducedPermutation) -> OrbitDecomposition:
     if p.epsilon == -1:
         expected = math.gcd(n, p.alpha)
         if count != expected:
-            raise AssertionError(
+            raise InvariantViolation(
                 f"orbit formula gcd({n},{p.alpha})={expected} != extracted {count}"
             )
     elif not p.fixed_points() and n % 2 == 0:
         if count != n // 2:
-            raise AssertionError(
+            raise InvariantViolation(
                 f"involution orbit formula {n}//2 != extracted {count}"
             )
     return OrbitDecomposition(orbits=tuple(orbits), count=count)
@@ -214,5 +208,5 @@ def edge_orbit_subgraph(family, n) -> OrbitSubgraph:
         orbit_sets = {frozenset(o) for o in orbit_count(perm).orbits}
         comp_sets = {frozenset(c.vertices) for c in comps}
         if orbit_sets != comp_sets:
-            raise AssertionError("edge orbits disagree with permutation orbits")
+            raise InvariantViolation("edge orbits disagree with permutation orbits")
     return OrbitSubgraph(components=tuple(comps))

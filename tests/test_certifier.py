@@ -1,9 +1,12 @@
 """Case certification: emptiness, counting bounds, determinism, honesty."""
+import dataclasses
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
+from toruscert import certifier
 from toruscert.certifier import (
     CaseParams,
     certify_case,
@@ -156,6 +159,38 @@ def test_truncated_chain_reports_survivors_honestly():
     assert cert.survivor_samples
     sample = cert.survivor_samples[0]
     assert {"graph", "parities", "offsets", "families"} <= set(sample)
+
+
+@pytest.mark.parametrize("s,t", [(1, 3), (2, 4), (3, 4)])
+def test_applied_counts_match_calls(monkeypatch, s, t):
+    # every configuration is built once, and every rule runs once for each
+    # configuration it is recorded as applied to: no verdict is broadcast
+    calls = Counter()
+    real_make_config, real_build_chain = certifier.make_config, certifier.build_chain
+
+    def counted_make_config(*args):
+        calls["make_config"] += 1
+        return real_make_config(*args)
+
+    def counted(name, fn):
+        def rule_fn(config, env):
+            calls[name] += 1
+            return fn(config, env)
+
+        return rule_fn
+
+    def counted_build_chain(s):
+        return [
+            dataclasses.replace(rule, fn=counted(rule.name, rule.fn))
+            for rule in real_build_chain(s)
+        ]
+
+    monkeypatch.setattr(certifier, "make_config", counted_make_config)
+    monkeypatch.setattr(certifier, "build_chain", counted_build_chain)
+    chain = certify_case(CaseParams(s, t, 6)).constraint_log[1:]
+    assert chain[0]["applied"] > 0
+    assert calls.pop("make_config") == chain[0]["applied"]
+    assert dict(calls) == {e["name"]: e["applied"] for e in chain if e["applied"]}
 
 
 def test_certificates_are_deterministic_across_runs_and_workers():

@@ -4,7 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from toruscert import fileformat
+from toruscert import certifier, fileformat
 from toruscert import verify as verify_mod
 from toruscert.cli import cli, main
 from tests.test_embedded import triple_loop_graph
@@ -41,6 +41,28 @@ def test_exit_codes_scale_limit_and_usage():
     assert main(["certify", "--s", "1"]) == 64
     assert main(["nonsense"]) == 64
     assert main(["certify", "--s", "2", "--t", "2", "--delta", "6", "--mode", "enumerate"]) == 64
+
+
+def test_broken_invariant_exits_3(monkeypatch, capsys):
+    # with no classes the two-vertex standard form cannot be found
+    monkeypatch.setattr(certifier, "enumerate_reduced_torus_graphs", lambda *a, **k: ())
+    assert main(["certify", "--s", "2", "--t", "4", "--delta", "6"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal invariant violated:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "abc"])
+@pytest.mark.parametrize("name", ["TORUSCERT_MAX_S", "TORUSCERT_MAX_T"])
+def test_malformed_caps_are_usage_errors(monkeypatch, capsys, name, value):
+    monkeypatch.setenv(name, value)
+    assert main(["certify", "--s", "3", "--t", "3", "--delta", "6"]) == 64
+    assert f"{name} must be a positive integer, got {value!r}" in capsys.readouterr().err
+
+
+def test_raised_t_cap_is_honoured(monkeypatch):
+    assert main(["certify", "--s", "1", "--t", "8", "--delta", "6"]) == 2
+    monkeypatch.setenv("TORUSCERT_MAX_T", "128")
+    assert main(["certify", "--s", "1", "--t", "8", "--delta", "6"]) == 0
 
 
 def test_lemma_parity_exit_codes():

@@ -35,6 +35,9 @@ def test_face_sides_sum_counts_every_side():
     for _ in range(300):
         g = random_fat_graph(rng)
         assert sum(g.face_sizes()) == 2 * g.num_edges
+        assert g.edge_ends() == tuple(
+            (g.vertex_of(a), g.vertex_of(b)) for a, b in g.edge_darts()
+        )
 
 
 def test_homology_detects_trivial_and_essential_loops():
