@@ -13,7 +13,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 
-from toruscert import _kernel_py, kernel
+from toruscert import kernel
 from toruscert.errors import ScaleLimit
 from toruscert.fatgraph import FatGraph
 from toruscert.params import max_s
@@ -52,15 +52,8 @@ def degree_sequences(num_vertices, num_edges):
 
 
 def _search_task(args):
-    degrees, triangles_only, min_face, first = args
-    return kernel.search_matchings(
-        degrees,
-        triangles_only=triangles_only,
-        min_face=min_face,
-        require_torus=True,
-        require_connected=True,
-        first_partner=first,
-    )
+    degrees, triangles_only, first = args
+    return kernel.search_matchings(degrees, triangles_only=triangles_only, first_partner=first)
 
 
 def _merge(dicts):
@@ -73,13 +66,10 @@ def _merge(dicts):
     return out
 
 
-def _search(degrees, triangles_only, min_face, workers):
+def _search(degrees, triangles_only, workers):
     if workers <= 1:
-        return _search_task((degrees, triangles_only, min_face, -1))
-    n = sum(degrees)
-    tasks = [
-        (degrees, triangles_only, min_face, b) for b in range(1, n)
-    ]
+        return _search_task((degrees, triangles_only, -1))
+    tasks = [(degrees, triangles_only, b) for b in range(1, sum(degrees))]
     # more processes than cores or tasks would only wait; the task partition,
     # and so the result, does not depend on the pool size
     size = min(workers, len(os.sched_getaffinity(0)), len(tasks))
@@ -136,7 +126,7 @@ def enumerate_reduced_torus_graphs(
         # at the Euler-maximal edge count every face is forced to be a
         # triangle, so the much stronger triangle pruning is equivalent
         tri = triangles_only or sum(seq) == 6 * num_vertices
-        found = _search(seq, tri, 3, workers)
+        found = _search(seq, tri, workers)
         for key in sorted(found):
             cls = GraphClass(degrees=seq, matching=found[key], key=key)
             g = cls.graph()
@@ -192,7 +182,7 @@ def brute_force_torus_classes(
                     return
                 if g.parallel_edge_pairs() or g.trivial_loops():
                     return
-                key = _kernel_py.canonical_code(seq, tuple(matching))
+                key = kernel.canonical_code(seq, tuple(matching))
                 cand = tuple(matching)
                 prev = classes.get((seq, key))
                 if prev is None or cand < prev:

@@ -3,7 +3,7 @@
 A fat graph is stored as a degree sequence plus a perfect matching of darts;
 darts are numbered consecutively vertex by vertex and the rotation at each
 vertex is the standard cyclic order of its darts (every fat graph can be
-relabelled into this form, see :mod:`toruscert._kernel_py`).  Faces are orbits
+relabelled into this form, see :mod:`toruscert.kernel`).  Faces are orbits
 of ``d -> rho[M[d]]``, and the derived closed orientable surface has Euler
 characteristic ``V - E + F``.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from toruscert import _kernel_py
+from toruscert import kernel
 from toruscert.errors import NotCellular
 
 
@@ -24,7 +24,7 @@ class FatGraph:
     def __init__(self, degrees, matching, check=True):
         self.degrees = tuple(degrees)
         self.matching = tuple(matching)
-        self._vert, self._rho, self._rho_inv = _kernel_py.standard_rotation(self.degrees)
+        self._vert, self._rho, self._rho_inv = kernel.standard_rotation(self.degrees)
         self._faces = None
         self._ends = None
         if check:
@@ -425,7 +425,7 @@ class FatGraph:
     def canonical_key(self):
         """Canonical key, equal for graphs related by vertex relabelling,
         rotation of the cyclic orders, or global reflection."""
-        return _kernel_py.canonical_code(self.degrees, self.matching)
+        return kernel.canonical_code(self.degrees, self.matching)
 
     def relabelled(self, vertex_order=None, rotations=None, reflect=False):
         """A combinatorially equal graph with permuted labels.

@@ -16,44 +16,67 @@ Criteria (all exact, no tolerances):
 7. the gluing matrix has determinant -1 and reverses intersection signs for
    all coefficients up to 10;
 8. certificates are byte-identical across worker counts 1, 2, 8.
+
+The suite runs once per module, and its report must match
+``tests/golden/verify_report.json`` byte for byte.  A change that alters a
+criterion's details on purpose regenerates that file with
+``PYTHONPATH=src python -m toruscert.cli verify-all --json
+tests/golden/verify_report.json`` and says why in its notes.
 """
+
+from pathlib import Path
+
+import pytest
 
 from toruscert import verify
 
+GOLDEN = Path(__file__).parent / "golden" / "verify_report.json"
 
-def _run(result):
+
+@pytest.fixture(scope="module")
+def results():
+    """Every criterion, run once by the same ``run_all`` that ``verify-all`` uses."""
+    return {r.name: r for r in verify.run_all()}
+
+
+def _run(results, name):
+    result = results[name]
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] {result.name} ({result.elapsed_s:.2f}s) {result.details}")
     assert result.passed, f"{result.name}: {result.details}"
 
 
-def test_criterion_1_emptiness_certificates():
-    _run(verify.criterion_emptiness())
+def test_criterion_1_emptiness_certificates(results):
+    _run(results, "emptiness-certificates")
 
 
-def test_criterion_2_counting_bounds():
-    _run(verify.criterion_counting())
+def test_criterion_2_counting_bounds(results):
+    _run(results, "counting-bounds")
 
 
-def test_criterion_3_klein_classification():
-    _run(verify.criterion_klein())
+def test_criterion_3_klein_classification(results):
+    _run(results, "klein-slope-classification")
 
 
-def test_criterion_4_orbit_oracle():
-    _run(verify.criterion_orbit_oracle())
+def test_criterion_4_orbit_oracle(results):
+    _run(results, "orbit-count-oracle")
 
 
-def test_criterion_5_degree_face_dichotomy():
-    _run(verify.criterion_degree_face())
+def test_criterion_5_degree_face_dichotomy(results):
+    _run(results, "reduced-torus-degree-face-dichotomy")
 
 
-def test_criterion_6_euler_invariants():
-    _run(verify.criterion_euler_random())
+def test_criterion_6_euler_invariants(results):
+    _run(results, "euler-face-invariants")
 
 
-def test_criterion_7_gluing_algebra():
-    _run(verify.criterion_gluing())
+def test_criterion_7_gluing_algebra(results):
+    _run(results, "gluing-algebra")
 
 
-def test_criterion_8_worker_determinism():
-    _run(verify.criterion_determinism())
+def test_criterion_8_worker_determinism(results):
+    _run(results, "worker-determinism")
+
+
+def test_report_matches_golden(results):
+    assert verify.report_json(results.values()).encode() == GOLDEN.read_bytes()

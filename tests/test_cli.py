@@ -120,9 +120,19 @@ def test_klein_command(runner):
     assert main(["klein"]) == 64
 
 
-def test_verify_all_fault_injection(tmp_path):
-    # a deliberately corrupted expected table must make the suite fail
-    assert main(["verify-all", "--fault-inject", "corrupt-klein"]) == 1
+def test_verify_all_fault_injection(tmp_path, monkeypatch):
+    # a deliberately corrupted expected table must make the suite fail, and
+    # through the Klein criterion alone; the three slow criteria are stubbed
+    # out here, since tests/test_acceptance.py runs them for real
+    for name in ("criterion_emptiness", "criterion_degree_face", "criterion_determinism"):
+        stub = verify_mod.CriterionResult(name, True, "stub", 0.0)
+        monkeypatch.setattr(verify_mod, name, lambda stub=stub, **kwargs: stub)
+    report = tmp_path / "report.json"
+    assert main(["verify-all", "--json", str(report)]) == 0
+    assert json.loads(report.read_text())["all_passed"]
+    assert main(["verify-all", "--fault-inject", "corrupt-klein", "--json", str(report)]) == 1
+    failed = [c["name"] for c in json.loads(report.read_text())["criteria"] if not c["passed"]]
+    assert failed == ["klein-slope-classification"]
 
 
 def test_verify_all_rejects_zero_workers_before_any_work(monkeypatch):

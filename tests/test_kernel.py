@@ -1,18 +1,11 @@
-"""The two kernel backends must agree bit for bit, and the pure kernel's
-canonical keys must agree with a full-traversal reference."""
+"""The search kernel: canonical keys agree with a full-traversal reference,
+and the first-partner split partitions the search."""
 import random
 
 import pytest
 
-from toruscert import _kernel_py
+from toruscert import kernel
 from toruscert.fatgraph import FatGraph
-
-try:
-    from toruscert import _kernel as _compiled
-except ImportError:
-    _compiled = None
-
-needs_compiled = pytest.mark.skipif(_compiled is None, reason="compiled kernel not built")
 
 SHAPES = [
     ((6,), True),
@@ -29,28 +22,11 @@ SHAPES = [
 ]
 
 
-@needs_compiled
-@pytest.mark.parametrize("degrees,tri", SHAPES)
-def test_backends_agree(degrees, tri):
-    pure = _kernel_py.search_matchings(degrees, triangles_only=tri)
-    fast = _compiled.search_matchings(degrees, triangles_only=tri)
-    assert pure == fast
-
-
-@needs_compiled
-@pytest.mark.parametrize("degrees,tri", SHAPES[:6])
-def test_canonical_codes_agree(degrees, tri):
-    for matching in _kernel_py.search_matchings(degrees, triangles_only=tri).values():
-        assert _kernel_py.canonical_code(degrees, matching) == _compiled.canonical_code(
-            degrees, matching
-        )
-
-
 def reference_code(degrees, matching):
     """Canonical key by brute force: the least code over every start dart and
     both orientations, each traversal run to the end."""
     n = sum(degrees)
-    _, rho, rho_inv = _kernel_py.standard_rotation(degrees)
+    _, rho, rho_inv = kernel.standard_rotation(degrees)
     codes = []
     for r in (rho, rho_inv):
         for start in range(n):
@@ -91,16 +67,16 @@ def random_standard_relabelling(rng, graph):
 @pytest.mark.parametrize("degrees,tri", SHAPES)
 def test_canonical_code_matches_full_traversal_reference(degrees, tri):
     rng = random.Random(f"{degrees}-{tri}")
-    for key, matching in _kernel_py.search_matchings(degrees, triangles_only=tri).items():
+    for key, matching in kernel.search_matchings(degrees, triangles_only=tri).items():
         want = reference_code(degrees, matching)
         assert key == want
-        assert _kernel_py.canonical_code(degrees, matching) == want
+        assert kernel.canonical_code(degrees, matching) == want
         graph = FatGraph(degrees, matching)
         for _ in range(8):
             other = random_standard_relabelling(rng, graph)
             assert other.degrees == graph.degrees
             assert reference_code(degrees, other.matching) == want
-            assert _kernel_py.canonical_code(degrees, other.matching) == want
+            assert kernel.canonical_code(degrees, other.matching) == want
 
 
 @pytest.mark.parametrize(
@@ -108,11 +84,11 @@ def test_canonical_code_matches_full_traversal_reference(degrees, tri):
     [((6, 6), True), ((6, 4, 2), False), ((6, 6, 6), True), ((6, 6, 4), False)],
 )
 def test_first_partner_partitions_the_search(degrees, tri):
-    whole = _kernel_py.search_matchings(degrees, triangles_only=tri)
+    whole = kernel.search_matchings(degrees, triangles_only=tri)
     merged = {}
     n = sum(degrees)
     for b in range(1, n):
-        part = _kernel_py.search_matchings(degrees, triangles_only=tri, first_partner=b)
+        part = kernel.search_matchings(degrees, triangles_only=tri, first_partner=b)
         for key, matching in part.items():
             prev = merged.get(key)
             if prev is None or matching < prev:
@@ -120,17 +96,14 @@ def test_first_partner_partitions_the_search(degrees, tri):
     assert merged == whole
 
 
-def test_min_face_documented_semantics():
-    # the square torus map lives at min_face 4, dies in triangle mode
-    res = _kernel_py.search_matchings((4,), min_face=4)
-    assert len(res) == 1
-    assert not _kernel_py.search_matchings((4,), triangles_only=True)
+def test_square_torus_lives_only_in_general_mode():
+    # one vertex of degree 4: two crossing loops bound one square face
+    assert len(kernel.search_matchings((4,))) == 1
+    assert not kernel.search_matchings((4,), triangles_only=True)
 
 
 def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        _kernel_py.search_matchings((3,))
+        kernel.search_matchings((3,))
     with pytest.raises(ValueError):
-        _kernel_py.search_matchings((6,), require_connected=False)
-    with pytest.raises(ValueError):
-        _kernel_py.search_matchings((6,), first_partner=99)
+        kernel.search_matchings((6,), first_partner=99)
