@@ -767,9 +767,7 @@ def certify_case(params: CaseParams, *, mode="auto", workers=1, rule_limit=None)
         return cert
     log.append(_log_entry("distance-degree-size-forcing", DISTANCE_FORCING_ANCHOR, 1, 0))
 
-    classes = enumerate_reduced_torus_graphs(
-        s, degrees=(6,) * s, triangles_only=True, workers=workers
-    )
+    classes = enumerate_reduced_torus_graphs(s, degrees=(6,) * s, workers=workers)
     env = CaseEnv(
         s=s,
         t=t,

@@ -52,8 +52,8 @@ def degree_sequences(num_vertices, num_edges):
 
 
 def _search_task(args):
-    degrees, triangles_only, first = args
-    return kernel.search_matchings(degrees, triangles_only=triangles_only, first_partner=first)
+    degrees, first = args
+    return kernel.search_matchings(degrees, first_partner=first)
 
 
 def _merge(dicts):
@@ -66,10 +66,10 @@ def _merge(dicts):
     return out
 
 
-def _search(degrees, triangles_only, workers):
+def _search(degrees, workers):
     if workers <= 1:
-        return _search_task((degrees, triangles_only, -1))
-    tasks = [(degrees, triangles_only, b) for b in range(1, sum(degrees))]
+        return _search_task((degrees, -1))
+    tasks = [(degrees, b) for b in range(1, sum(degrees))]
     # more processes than cores or tasks would only wait; the task partition,
     # and so the result, does not depend on the pool size
     size = min(workers, len(os.sched_getaffinity(0)), len(tasks))
@@ -84,8 +84,6 @@ def enumerate_reduced_torus_graphs(
     *,
     degrees=None,
     max_edges=None,
-    triangles_only=False,
-    loop_edges_per_vertex=None,
     workers=1,
 ):
     """One representative per canonical class of reduced cellular torus graphs.
@@ -93,10 +91,10 @@ def enumerate_reduced_torus_graphs(
     With ``degrees`` the enumeration is restricted to that degree sequence;
     otherwise all sequences with at most ``max_edges`` edges are swept (the
     cap defaults to ``3 * num_vertices``, which no reduced cellular torus
-    graph can exceed since its faces have at least three sides).  With
-    ``triangles_only`` every face must be a triangle.
-    ``loop_edges_per_vertex`` keeps only classes with that many loop edges at
-    every vertex.  Classes are returned sorted for deterministic output.
+    graph can exceed since its faces have at least three sides).  At the
+    cap, ``E = 3V``, every face is a triangle: the 6-regular catalog is
+    ``degrees=(6,) * num_vertices``.  Classes are returned sorted for
+    deterministic output.
 
     Raises :class:`ScaleLimit` when ``num_vertices`` exceeds the configured
     cap.
@@ -123,33 +121,25 @@ def enumerate_reduced_torus_graphs(
     for seq in sorted(seqs):
         if sum(seq) % 2:
             continue  # handshake parity: no matching exists
-        # at the Euler-maximal edge count every face is forced to be a
-        # triangle, so the much stronger triangle pruning is equivalent
-        tri = triangles_only or sum(seq) == 6 * num_vertices
-        found = _search(seq, tri, workers)
+        found = _search(seq, workers)
         for key in sorted(found):
             cls = GraphClass(degrees=seq, matching=found[key], key=key)
             g = cls.graph()
             if g.parallel_edge_pairs() or g.trivial_loops():
-                continue
-            if loop_edges_per_vertex is not None and any(
-                len(g.loops_at(v)) != loop_edges_per_vertex
-                for v in range(num_vertices)
-            ):
                 continue
             classes.append(cls)
     classes.sort(key=lambda c: (c.degrees, c.key))
     return tuple(classes)
 
 
-def brute_force_torus_classes(
-    num_vertices, *, degrees=None, max_edges=None, triangles_only=False
-):
+def brute_force_torus_classes(num_vertices, *, degrees=None, max_edges=None):
     """Pruning-free oracle for :func:`enumerate_reduced_torus_graphs`.
 
     Generates every matching outright, then filters with the full face trace
     of :class:`FatGraph`, an independent code path from the kernel's
-    incremental pruning.  Only run this at small scale.
+    incremental pruning.  Only run this at small scale.  Its one face check,
+    no face below three sides, leaves only triangles at ``E = 3V``, since
+    the ``F = E - V`` faces have ``2E`` sides in all.
     """
     euler_cap = 3 * num_vertices
     if max_edges is None:
@@ -174,11 +164,7 @@ def brute_force_torus_classes(
                 g = FatGraph(seq, matching)
                 if not g.is_connected() or g.euler_characteristic() != 0:
                     return
-                sizes = g.face_sizes()
-                if triangles_only:
-                    if any(s != 3 for s in sizes):
-                        return
-                elif any(s < 3 for s in sizes):
+                if any(s < 3 for s in g.face_sizes()):
                     return
                 if g.parallel_edge_pairs() or g.trivial_loops():
                     return

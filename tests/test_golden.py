@@ -6,12 +6,21 @@ chains), the counting-mode cases, and a truncated chain whose survivors put
 ``Config.describe()`` samples in the payload.  A change that alters a
 payload on purpose regenerates them with
 ``PYTHONPATH=src python -m tests.test_golden`` and says why in its notes.
+
+``kernel_classes.json`` holds the raw output of the search kernel,
+``search_matchings(degrees)`` as canonical key (hex) to least matching, for
+every degree sequence of the degree-face criterion, the kernel test shapes
+and ``(6,) * 4``; the same command regenerates it.
 """
+import json
 from pathlib import Path
 
 import pytest
 
+from tests.test_kernel import SHAPES
+from toruscert import kernel
 from toruscert.certifier import certify_case
+from toruscert.enumeration import degree_sequences
 from toruscert.params import NEUTRAL, POLARIZED, CaseParams
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -19,6 +28,35 @@ CASES = [(3, 3), (3, 4), (3, 5), (3, 6), (4, 4), (4, 6), (1, 3), (2, 4), (2, 6)]
 COUNTING_CASES = [(2, 2, POLARIZED, None), (2, 2, NEUTRAL, NEUTRAL), (1, 2, None, None)]
 # (s, t, rule_limit)
 TRUNCATED_CASES = [(3, 4, 2)]
+KERNEL_GOLDEN = GOLDEN / "kernel_classes.json"
+
+
+def kernel_cases():
+    """Degree sequences of the kernel golden, sorted."""
+    seqs = {
+        seq
+        for nv in (1, 2, 3)
+        for ne in range(nv + 1, 3 * nv + 1)
+        for seq in degree_sequences(nv, ne)
+    }
+    seqs.update(degrees for degrees, _ in SHAPES)
+    seqs.add((6,) * 4)
+    return sorted(seqs)
+
+
+def seq_name(seq):
+    return ",".join(map(str, seq))
+
+
+def kernel_text(results):
+    """``{degrees: {key hex: matching}}`` as JSON, one class per line."""
+    lines = []
+    for seq in sorted(results):
+        found = results[seq]
+        rows = [f'  "{key.hex()}": {json.dumps(list(found[key]))}' for key in sorted(found)]
+        body = "{\n" + ",\n".join(rows) + "\n }" if rows else "{}"
+        lines.append(f' "{seq_name(seq)}": {body}')
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def golden_path(s, t):
@@ -60,7 +98,18 @@ def test_truncated_payload_matches_golden(case):
     assert truncated_payload(*case).encode() == truncated_path(*case).read_bytes()
 
 
+def test_kernel_matches_golden():
+    want = json.loads(KERNEL_GOLDEN.read_text())
+    assert set(want) == {seq_name(seq) for seq in kernel_cases()}
+    for seq in kernel_cases():
+        got = kernel.search_matchings(seq)
+        assert {key.hex(): list(m) for key, m in got.items()} == want[seq_name(seq)], seq
+
+
 if __name__ == "__main__":
+    KERNEL_GOLDEN.write_text(
+        kernel_text({seq: kernel.search_matchings(seq) for seq in kernel_cases()})
+    )
     for s, t in CASES:
         golden_path(s, t).write_bytes(payload(s, t).encode())
     for case in COUNTING_CASES:

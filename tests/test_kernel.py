@@ -7,6 +7,8 @@ import pytest
 from toruscert import kernel
 from toruscert.fatgraph import FatGraph
 
+# (degrees, whether every face of every class is a triangle): the defect
+# budget 3V - E is used up exactly when E = 3V
 SHAPES = [
     ((6,), True),
     ((6, 6), True),
@@ -64,13 +66,18 @@ def random_standard_relabelling(rng, graph):
     return graph.relabelled(order, rotations, rng.random() < 0.5)
 
 
-@pytest.mark.parametrize("degrees,tri", SHAPES)
-def test_canonical_code_matches_full_traversal_reference(degrees, tri):
-    rng = random.Random(f"{degrees}-{tri}")
-    for key, matching in kernel.search_matchings(degrees, triangles_only=tri).items():
+def triangulated(degrees, matching):
+    return set(FatGraph(degrees, matching).face_sizes()) == {3}
+
+
+@pytest.mark.parametrize("degrees,triangles", SHAPES)
+def test_canonical_code_matches_full_traversal_reference(degrees, triangles):
+    rng = random.Random(f"{degrees}-{triangles}")
+    for key, matching in kernel.search_matchings(degrees).items():
         want = reference_code(degrees, matching)
         assert key == want
         assert kernel.canonical_code(degrees, matching) == want
+        assert triangulated(degrees, matching) == triangles
         graph = FatGraph(degrees, matching)
         for _ in range(8):
             other = random_standard_relabelling(rng, graph)
@@ -80,15 +87,16 @@ def test_canonical_code_matches_full_traversal_reference(degrees, tri):
 
 
 @pytest.mark.parametrize(
-    "degrees,tri",
+    "degrees,triangles",
     [((6, 6), True), ((6, 4, 2), False), ((6, 6, 6), True), ((6, 6, 4), False)],
 )
-def test_first_partner_partitions_the_search(degrees, tri):
-    whole = kernel.search_matchings(degrees, triangles_only=tri)
+def test_first_partner_partitions_the_search(degrees, triangles):
+    whole = kernel.search_matchings(degrees)
+    assert all(triangulated(degrees, m) == triangles for m in whole.values())
     merged = {}
     n = sum(degrees)
     for b in range(1, n):
-        part = kernel.search_matchings(degrees, triangles_only=tri, first_partner=b)
+        part = kernel.search_matchings(degrees, first_partner=b)
         for key, matching in part.items():
             prev = merged.get(key)
             if prev is None or matching < prev:
@@ -96,10 +104,14 @@ def test_first_partner_partitions_the_search(degrees, tri):
     assert merged == whole
 
 
-def test_square_torus_lives_only_in_general_mode():
-    # one vertex of degree 4: two crossing loops bound one square face
+def test_defect_budget_sets_the_face_sizes():
+    # one vertex on the torus has E - 1 faces and the budget 3V - E = 3 - E
+    # for face sizes above three: (4,) spends 1 on one square face, (6,)
+    # spends nothing, so both faces are triangles, and (8,) overdraws it
     assert len(kernel.search_matchings((4,))) == 1
-    assert not kernel.search_matchings((4,), triangles_only=True)
+    (matching,) = kernel.search_matchings((6,)).values()
+    assert FatGraph((6,), matching).face_sizes() == (3, 3)
+    assert kernel.search_matchings((8,)) == {}
 
 
 def test_rejects_bad_inputs():
