@@ -18,6 +18,7 @@ explicit.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import time
@@ -159,6 +160,7 @@ def vertex_types(config: Config):
     return tuple(zip(pos, neg))
 
 
+@functools.lru_cache(maxsize=None)  # sign cycles: 2 ** degree of them at most
 def _canonical_cycle(seq):
     cands = []
     n = len(seq)
@@ -167,19 +169,26 @@ def _canonical_cycle(seq):
     return min(cands)
 
 
-def sign_patterns(config: Config):
-    """Canonical cyclic sign pattern of the reduced local edges per vertex."""
-    graph = FatGraph(config.degrees, config.matching, check=False)
-    edge_of = graph.edge_index_of_dart()
+@functools.lru_cache(maxsize=64)
+def _edges_around_vertices(degrees, matching):
+    """Per vertex, the edge indices of its darts in rotation order; one
+    build per graph, as every configuration of a class shares it."""
+    edge_of = FatGraph(degrees, matching, check=False).edge_index_of_dart()
     out = []
     base = 0
-    for v, deg in enumerate(config.degrees):
-        signs = tuple(
-            config.families[edge_of[base + k]].sign for k in range(deg)
-        )
-        out.append(_canonical_cycle(signs))
+    for deg in degrees:
+        out.append(tuple(edge_of[base:base + deg]))
         base += deg
     return tuple(out)
+
+
+def sign_patterns(config: Config):
+    """Canonical cyclic sign pattern of the reduced local edges per vertex."""
+    families = config.families
+    return tuple(
+        _canonical_cycle(tuple(families[i].sign for i in edges))
+        for edges in _edges_around_vertices(config.degrees, config.matching)
+    )
 
 
 def loop_vertices(config: Config):

@@ -56,27 +56,36 @@ def _search_task(args):
     return kernel.search_matchings(degrees, first_partner=first)
 
 
-def _merge(dicts):
-    out = {}
-    for d in dicts:
-        for key, matching in d.items():
-            prev = out.get(key)
-            if prev is None or matching < prev:
-                out[key] = matching
-    return out
-
-
-def _search(degrees, workers):
-    if workers <= 1:
-        return _search_task((degrees, -1))
-    tasks = [(degrees, b) for b in range(1, sum(degrees))]
+def _pooled_parts(seqs, workers):
+    """Search every ``(sequence, first partner)`` task of ``seqs`` through
+    one pool; returns each sequence's parts, or None to search in process."""
+    if workers <= 1 or not seqs:
+        return None
+    tasks = [(seq, b) for seq in seqs for b in range(1, sum(seq))]
     # more processes than cores or tasks would only wait; the task partition,
     # and so the result, does not depend on the pool size
     size = min(workers, len(os.sched_getaffinity(0)), len(tasks))
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(size) as pool:
         results = pool.map(_search_task, tasks)
-    return _merge(results)
+    parts = {seq: [] for seq in seqs}
+    for (seq, _), found in zip(tasks, results):
+        parts[seq].append(found)
+    return parts
+
+
+def _search(degrees, parts=None):
+    """The classes of one degree sequence by canonical key: its merged
+    first-partner ``parts``, or else one search in this process."""
+    if parts is None:
+        return kernel.search_matchings(degrees)
+    out = {}
+    for d in parts:
+        for key, matching in d.items():
+            prev = out.get(key)
+            if prev is None or matching < prev:
+                out[key] = matching
+    return out
 
 
 def enumerate_reduced_torus_graphs(
@@ -117,11 +126,12 @@ def enumerate_reduced_torus_graphs(
         for ne in range(num_vertices + 1, max_edges + 1):
             seqs.extend(degree_sequences(num_vertices, ne))
 
+    # handshake parity: an odd degree sum admits no matching
+    seqs = [seq for seq in sorted(seqs) if sum(seq) % 2 == 0]
+    parts = _pooled_parts(seqs, workers)
     classes = []
-    for seq in sorted(seqs):
-        if sum(seq) % 2:
-            continue  # handshake parity: no matching exists
-        found = _search(seq, workers)
+    for seq in seqs:
+        found = _search(seq, None if parts is None else parts[seq])
         for key in sorted(found):
             cls = GraphClass(degrees=seq, matching=found[key], key=key)
             g = cls.graph()

@@ -45,6 +45,56 @@ forced at the root, so ``first_partner`` still fixes dart 0's partner.  The
 leaves are the same as without forcing: every complete all-triangle
 matching contains each forced pair of its partial matchings.
 
+Closed prefix.  When every dart of the vertices below the lowest unmatched
+dart is matched among those vertices, they form a closed component, every
+leaf below is disconnected, and the branch dies.  The search carries the
+largest partner of the darts below ``lowest`` as ``reach``, so the test
+costs one comparison at each vertex boundary.  Without it the search
+below a closed component is barely pruned, as the relabelling walks that
+start inside the component stop at its edge (see below).
+
+Orderly generation
+------------------
+
+The relabellings that keep the standard rotation form a group: choose an
+orientation ``e = +-1``, a permutation ``pi`` of the vertices that keeps the
+degrees and an offset ``o_v`` at each vertex, and send dart ``(v, i)`` to
+``(pi(v), (o_v + e*i) mod d_v)``.  Two matchings get one canonical key
+exactly when one is ``g M g^-1`` for some ``g`` in this group.  The search
+keeps one matching per class, the lexicographically least, and cuts every
+subtree whose fixed entries already lose to a relabelling; this is the
+isomorph rejection of McKay, "Isomorph-free exhaustive generation" (J.
+Algorithms 26, 1998) and of plantri (Brinkmann & McKay, MATCH 58, 2007).
+
+After each branching placement, and at each leaf, a walk per start asks
+whether some ``g`` makes ``g M g^-1`` smaller than ``M``.  A start sends a
+dart of degree ``d_0`` to dart 0 in either orientation; the walk then reads
+positions ``j = 0, 1, ...``, where the relabelled entry is
+``g(M[g^-1(j)])``.  A vertex first met this way takes the lowest free slot
+of its degree, with the dart met first: every other choice gives a larger
+entry, so the choice is forced.  The walk stops at the first position where
+the entries differ.  A smaller entry prunes the node: the entries compared
+are fixed, so every completion below loses to ``g`` (extended to all
+vertices) and is not the least of its class, while the least matching of a
+class is never pruned.  A larger entry ends that start for the whole
+subtree, since fixed entries never change below.  An unfixed entry, of
+``M`` or of ``g M g^-1``, leaves the start waiting on that dart, and it is
+walked again once the dart is matched.  A slot reached before any vertex
+was sent to it gives no verdict, for good: trying every vertex and dart
+there would be repeated at each node below, and a test that misses a
+prune only costs speed.  With equal degrees, a tie up to such a slot
+means that the vertices below it have closed off, and the closed-prefix
+rule above kills that branch at once.
+
+Leaves come out in lexicographic order: the search branches on the lowest
+unmatched dart with ascending partners, so two leaves first differ at a
+branching dart, where the earlier one has the smaller partner.  The first
+leaf met in each class is therefore its least matching, and the others
+fail the leaf test unless a walk found no verdict.  As a backstop,
+``leaf()`` still keys every surviving leaf with :func:`canonical_code`,
+called through the module global, and keeps the least matching per key, so
+the result does not depend on how complete the test is.
+
 Canonical keys.  A traversal is abandoned at the first byte of its code
 that exceeds the best code so far; ties reveal automorphisms whose orbits
 of start darts need no traversal (see :func:`canonical_code`).
@@ -52,6 +102,10 @@ of start darts need no traversal (see :func:`canonical_code`).
 
 # the kernel that produced a report; printed by ``verify-all`` and in its JSON
 BACKEND = "pure"
+
+# verdicts of a relabelling walk in search_matchings; a dart >= 0 is the
+# unmatched one the walk waits for
+SMALLER, LARGER, STUCK = -3, -2, -1
 
 
 def standard_rotation(degrees):
@@ -176,7 +230,9 @@ def search_matchings(degrees, first_partner=-1):
     """Enumerate dart matchings under face constraints; bucket by canonical key.
 
     Returns a dict mapping canonical code (bytes) to the lexicographically
-    smallest surviving matching (tuple of ints) in that class.
+    smallest surviving matching (tuple of ints) in that class.  Subtrees
+    that a relabelling beats are cut (see "Orderly generation" above), so
+    the key is usually computed once per class.
 
     Only connected leaves of Euler characteristic 0 (the torus) whose faces
     all have at least three sides are kept.  The defect budget ``3V - E``
@@ -200,6 +256,78 @@ def search_matchings(degrees, first_partner=-1):
     need_faces = ne - nv  # target count on a torus
     M = [-1] * n
     out = {}
+    base = [0] * nv  # first dart of each vertex
+    for v in range(1, nv):
+        base[v] = base[v - 1] + degrees[v - 1]
+    pos = [d - base[vert[d]] for d in range(n)]  # a dart's place at its vertex
+    slots = [[] for _ in range(max(degrees) + 1)]  # degree -> its vertices
+    for v, deg in enumerate(degrees):
+        slots[deg].append(v)
+    first_free = [0] * len(slots)
+    first_free[degrees[0]] = 1  # slot 0 goes to the start's vertex
+    # (start dart sent to dart 0, orientation, dart its walk waits for)
+    starts = [
+        (s, e, s) for e in (1, -1) for s in range(n) if degrees[vert[s]] == degrees[0]
+    ]
+
+    def compare(s, e):
+        """Walk the relabelling that sends dart ``s`` to dart 0, with
+        orientation ``e``.  Returns SMALLER or LARGER at the first
+        difference of the fixed entries of ``M``, the unmatched dart the
+        walk waits for, or STUCK for a tie or a slot with no source yet."""
+        src = [-1] * nv  # slot -> the vertex sent there
+        img = [-1] * nv  # vertex -> its slot
+        off = [0] * nv  # vertex -> its dart sent to the slot's dart 0
+        free = first_free[:]  # degree -> index of its lowest free slot
+        u = vert[s]
+        src[0] = u
+        img[u] = 0
+        off[u] = pos[s]
+        for j in range(n):
+            mj = M[j]
+            if mj < 0:
+                return j
+            v = src[vert[j]]
+            if v < 0:
+                return STUCK
+            x = base[v] + (off[v] + e * pos[j]) % degrees[v]
+            y = M[x]
+            if y < 0:
+                return x
+            u = vert[y]
+            w = img[u]
+            if w < 0:
+                # a new vertex: the lowest free slot, with y as its dart 0,
+                # is the least image any relabelling can give y
+                du = degrees[u]
+                w = slots[du][free[du]]
+                free[du] += 1
+                src[w] = u
+                img[u] = w
+                off[u] = pos[y]
+                gy = base[w]
+            else:
+                gy = base[w] + e * (pos[y] - off[u]) % degrees[u]
+            if gy != mj:
+                return SMALLER if gy < mj else LARGER
+        return STUCK
+
+    def live_starts(live):
+        """The starts of ``live`` that give no verdict on ``M``, or None if
+        one of them makes it smaller.  A start found larger stays larger
+        below this node, as fixed entries never change."""
+        kept = []
+        for item in live:
+            s, e, wait = item
+            if wait == STUCK or M[wait] < 0:
+                kept.append(item)  # the same walk would stop at the same place
+                continue
+            wait = compare(s, e)
+            if wait == SMALLER:
+                return None
+            if wait != LARGER:
+                kept.append((s, e, wait))
+        return kept
 
     def walk(start, other):
         """The face path through the arc out of ``start``: ``(closed, darts,
@@ -226,7 +354,7 @@ def search_matchings(degrees, first_partner=-1):
             cur = M[p]
             cnt += 1
 
-    def leaf():
+    def leaf(live):
         if nv > 1:
             reached = 1
             stack = [0]
@@ -245,6 +373,8 @@ def search_matchings(degrees, first_partner=-1):
                     stack.append(w)
             if count != nv:
                 return
+        if live_starts(live) is None:
+            return
         key = canonical_code(degrees, M)
         cand = tuple(M)
         prev = out.get(key)
@@ -299,7 +429,7 @@ def search_matchings(degrees, first_partner=-1):
                 darts.append(rho[M[x]])
         return darts
 
-    def rec(lowest, closed_faces, room, pending):
+    def rec(lowest, closed_faces, room, pending, live, reach):
         while pending:
             x = pending.pop()
             if M[x] >= 0:
@@ -313,15 +443,21 @@ def search_matchings(degrees, first_partner=-1):
             M[w] = x
             state = place(x, w, closed_faces, room)
             if state is not None:
-                rec(lowest, *state, pending + touched(x, w))
+                rec(lowest, *state, pending + touched(x, w), live, reach)
             M[x] = -1
             M[w] = -1
             return
         a = lowest
-        while a < n and M[a] >= 0:
+        while a < n:
+            if a and pos[a] == 0 and reach < a:
+                return  # the vertices below a have no edge to the rest
+            if M[a] < 0:
+                break
+            if M[a] > reach:
+                reach = M[a]
             a += 1
         if a == n:
-            leaf()  # room >= 0 and closed_faces <= E - V force F = E - V
+            leaf(live)  # room >= 0 and closed_faces <= E - V force F = E - V
             return
         if a == 0 and first_partner >= 0:
             candidates = (first_partner,) if first_partner > 0 else ()
@@ -334,9 +470,12 @@ def search_matchings(degrees, first_partner=-1):
             M[b] = a
             state = place(a, b, closed_faces, room)
             if state is not None:
-                rec(a + 1, *state, touched(a, b) if state[1] == 0 else [])
+                kept = live_starts(live)
+                if kept is not None:
+                    watch = touched(a, b) if state[1] == 0 else []
+                    rec(a + 1, *state, watch, kept, max(reach, b))
             M[a] = -1
             M[b] = -1
 
-    rec(0, 0, 3 * nv - ne, [])
+    rec(0, 0, 3 * nv - ne, [], starts, -1)
     return out

@@ -1,5 +1,7 @@
 """The search kernel: canonical keys agree with a full-traversal reference,
-and the first-partner split partitions the search."""
+each class comes out as its least matching with one canonical key, and the
+first-partner split partitions the search."""
+import itertools
 import random
 
 import pytest
@@ -88,7 +90,13 @@ def test_canonical_code_matches_full_traversal_reference(degrees, triangles):
 
 @pytest.mark.parametrize(
     "degrees,triangles",
-    [((6, 6), True), ((6, 4, 2), False), ((6, 6, 6), True), ((6, 6, 4), False)],
+    [
+        ((6, 6), True),
+        ((6, 4, 2), False),
+        ((6, 6, 6), True),
+        ((6, 6, 4), False),
+        ((6,) * 4, True),
+    ],
 )
 def test_first_partner_partitions_the_search(degrees, triangles):
     whole = kernel.search_matchings(degrees)
@@ -102,6 +110,57 @@ def test_first_partner_partitions_the_search(degrees, triangles):
             if prev is None or matching < prev:
                 merged[key] = matching
     assert merged == whole
+
+
+def least_relabelling(degrees, matching):
+    """The least matching of a class by brute force: the minimum over every
+    relabelling that keeps the standard rotation (each vertex permutation
+    that keeps the degrees, each rotation at each vertex, both
+    orientations), built with ``FatGraph.relabelled``."""
+    graph = FatGraph(degrees, matching)
+    orders = [
+        order
+        for order in itertools.permutations(range(len(degrees)))
+        if tuple(degrees[v] for v in order) == tuple(degrees)
+    ]
+    return min(
+        graph.relabelled(order, rotations, reflect).matching
+        for order in orders
+        for rotations in itertools.product(*(range(degrees[v]) for v in order))
+        for reflect in (False, True)
+    )
+
+
+@pytest.mark.parametrize("degrees", [degrees for degrees, _ in SHAPES])
+def test_each_class_is_its_least_relabelling(degrees):
+    for matching in kernel.search_matchings(degrees).values():
+        assert matching == least_relabelling(degrees, matching)
+
+
+def test_orderly_pruning_canonicalises_once_per_class(monkeypatch):
+    # leaves come out in lexicographic order and the relabelling test drops
+    # every leaf but the least of its class, so canonical_code, called
+    # through the module global, runs once per class
+    calls = []
+    real = kernel.canonical_code
+
+    def counted(degrees, matching):
+        calls.append(degrees)
+        return real(degrees, matching)
+
+    monkeypatch.setattr(kernel, "canonical_code", counted)
+    assert len(kernel.search_matchings((6,) * 4)) == 3
+    assert len(calls) == 3
+    for degrees, _ in SHAPES:
+        calls.clear()
+        assert len(kernel.search_matchings(degrees)) == len(calls)
+
+
+def test_degree_six_catalog_counts():
+    # the 6-regular torus triangulations with s vertices: 1, 1, 2, 3, 2
+    # classes for s = 1..5 (OEIS A003051)
+    counts = [len(kernel.search_matchings((6,) * s)) for s in range(1, 6)]
+    assert counts == [1, 1, 2, 3, 2]
 
 
 def test_defect_budget_sets_the_face_sizes():
