@@ -12,6 +12,15 @@ configurations, and the certificate records per-rule application and
 elimination counts.  Cases with ``s, t <= 2`` are settled in counting mode
 instead, by degree-capacity inequalities.
 
+Decoration is staged by what the offsets leave unchanged.  A :class:`Frame`
+is built once per class and parity vector, before the offsets vary.  It
+holds every edge's sign, the ``t`` possible families of every edge indexed
+by shift, and the derived views the rules read (vertex types, sign
+patterns, loops, opposite-parity pair covers), which depend on the signs and
+loops alone.  :func:`make_config` then decorates one configuration with one
+table lookup per edge, and each rule still runs once for every configuration
+it is applied to.
+
 Every rule's ``anchor`` is the one-line mathematical justification recorded
 in the certificate, making the trust boundary of axiom-backed rules
 explicit.
@@ -65,7 +74,9 @@ class Family(NamedTuple):
     def induces_identity(self, t):
         if self.sign == -1:
             return self.shift % t == 0
-        return all((self.shift - x) % t == x for x in range(t))
+        # x -> shift - x fixes 0 only if t divides shift, and then fixes 1
+        # only if t divides 2
+        return t <= 2 and self.shift % t == 0
 
     def perm(self, t) -> InducedPermutation:
         return InducedPermutation(t, (self.shift + self.sign + 1) % t, self.sign)
@@ -81,6 +92,7 @@ class Config(NamedTuple):
     offsets: tuple
     t: int
     families: tuple
+    frame: Frame
 
     def describe(self):
         return {
@@ -104,23 +116,68 @@ class Config(NamedTuple):
 _record = tuple.__new__
 
 
-def make_config(graph: FatGraph, key: bytes, parities, offsets, t) -> Config:
-    families = []
-    for i, (u, v) in enumerate(graph.edge_ends()):
-        pv = parities[v]
-        sign = parities[u] * pv
-        shift = (offsets[v] - pv + sign * offsets[u]) % t
-        families.append(_record(Family, (i, u, v, sign, shift, u == v)))
+class Frame:
+    """What every configuration of one class and parity vector shares.
+
+    ``edges`` holds each edge's ``(u, v, sign, c)``, where ``c = -p_v`` is the
+    offset-free part of its shift, and ``table`` each edge's ``t`` families
+    indexed by shift.  ``positive`` indexes the positive families.
+    ``families`` are those at offsets zero.  The views read only the ends,
+    signs and loop flags of the families, which no offset changes, so they
+    are computed here once, on the frame itself.
+    """
+
+    __slots__ = (
+        "degrees", "matching", "graph_key", "parities", "t", "edges", "table",
+        "families", "all_positive", "positive", "types", "patterns", "loops",
+        "loop_counts", "pair_cover", "exact_pair_cover",
+    )
+
+    def __init__(self, graph: FatGraph, key: bytes, parities, t):
+        self.degrees = graph.degrees
+        self.matching = graph.matching
+        self.graph_key = key
+        self.parities = parities = tuple(parities)
+        self.t = t
+        edges = []
+        table = []
+        for i, (u, v) in enumerate(graph.edge_ends()):
+            sign = parities[u] * parities[v]
+            edges.append((u, v, sign, -parities[v]))
+            table.append(tuple(
+                _record(Family, (i, u, v, sign, shift, u == v)) for shift in range(t)
+            ))
+        self.edges = tuple(edges)
+        self.table = tuple(table)
+        self.families = tuple(row[c % t] for row, (_, _, _, c) in zip(table, edges))
+        self.positive = tuple(i for i, (_, _, sign, _) in enumerate(edges) if sign == 1)
+        self.all_positive = len(self.positive) == len(edges)
+        self.types = vertex_types(self)
+        self.patterns = sign_patterns(self)
+        self.loops = frozenset(loop_vertices(self))
+        self.loop_counts = tuple(loops_per_vertex(self))
+        self.pair_cover = opposite_pair_cover(self, multiplicity=2)
+        self.exact_pair_cover = opposite_pair_cover(self, multiplicity=2, exact=True)
+
+
+def make_config(frame: Frame, offsets) -> Config:
+    """The configuration of ``frame`` at ``offsets``: one lookup per edge."""
+    t = frame.t
+    families = tuple([
+        row[(offsets[v] + c + sign * offsets[u]) % t]
+        for row, (u, v, sign, c) in zip(frame.table, frame.edges)
+    ])
     return _record(
         Config,
         (
-            graph.degrees,
-            graph.matching,
-            key,
-            tuple(parities),
+            frame.degrees,
+            frame.matching,
+            frame.graph_key,
+            frame.parities,
             tuple(offsets),
             t,
-            tuple(families),
+            families,
+            frame,
         ),
     )
 
@@ -136,13 +193,14 @@ def iter_configs(cls, t):
     graph = cls.graph()
     s = graph.num_vertices
     for rest_par in itertools.product((1, -1), repeat=s - 1):
-        parities = (1,) + rest_par
+        frame = Frame(graph, cls.key, (1,) + rest_par, t)
         for rest_off in itertools.product(range(t), repeat=s - 1):
-            offsets = (0,) + rest_off
-            yield make_config(graph, cls.key, parities, offsets, t)
+            yield make_config(frame, (0,) + rest_off)
 
 
 # derived views ---------------------------------------------------------------
+# Each takes a configuration or a frame; Frame computes them once per parity
+# vector, except partner_has_loops, which reads the shifts.
 
 
 def vertex_types(config: Config):
@@ -264,14 +322,16 @@ class CaseEnv:
 
 
 def _r_all_positive(config, env):
-    if all(f.sign == 1 for f in config.families):
+    if config.frame.all_positive:
         return {"reason": "every family is positive, so every partner edge is negative"}
     return None
 
 
 def _r_positive_fixed_point(config, env):
-    for f in config.families:
-        if f.sign == 1 and f.has_fixed_point(config.t):
+    families = config.families
+    for i in config.frame.positive:
+        f = families[i]
+        if f.has_fixed_point(config.t):
             return {
                 "family": f.index,
                 "shift": f.shift,
@@ -282,21 +342,21 @@ def _r_positive_fixed_point(config, env):
 
 
 def _r_type_uniformity(config, env):
-    types = vertex_types(config)
+    types = config.frame.types
     if len(set(types)) > 1:
         return {"vertex_types": [list(x) for x in types]}
     return None
 
 
 def _r_pattern_uniformity(config, env):
-    pats = sign_patterns(config)
+    pats = config.frame.patterns
     if len(set(pats)) > 1:
         return {"sign_patterns": [list(p) for p in pats]}
     return None
 
 
 def _r_loop_propagation(config, env):
-    lv = loop_vertices(config)
+    lv = config.frame.loops
     s = len(config.parities)
     if lv and len(lv) < s:
         return {"looped_vertices": sorted(lv), "vertices": s}
@@ -304,7 +364,8 @@ def _r_loop_propagation(config, env):
 
 
 def _r_two_cycle_cover(config, env):
-    if all(f.sign == 1 for f in config.families):
+    frame = config.frame
+    if frame.all_positive:
         return None  # handled by the all-positive rule
     s = len(config.parities)
     if s % 2:
@@ -312,7 +373,7 @@ def _r_two_cycle_cover(config, env):
             "vertices": s,
             "reason": "a full-size positive partner family needs an even count here",
         }
-    if opposite_pair_cover(config, multiplicity=2) is None:
+    if frame.pair_cover is None:
         return {
             "reason": "no pairing of opposite-parity vertices joined by two edges",
         }
@@ -320,9 +381,10 @@ def _r_two_cycle_cover(config, env):
 
 
 def _r_positive_structure_no_loops(config, env):
-    if loop_vertices(config):
+    frame = config.frame
+    if frame.loops:
         return None
-    p, n = vertex_types(config)[0]
+    p, n = frame.types[0]
     if p >= 3:
         return {
             "positive_per_vertex": p,
@@ -332,7 +394,7 @@ def _r_positive_structure_no_loops(config, env):
 
 
 def _r_partner_positive_structure(config, env):
-    p, n = vertex_types(config)[0]
+    p, n = config.frame.types[0]
     if p == 0:
         return None  # all-negative configurations cannot be built at all
     t_looped = partner_has_loops(config)
@@ -352,12 +414,13 @@ def _r_partner_positive_structure(config, env):
 
 
 def _r_loop_cover_form(config, env):
-    if not loop_vertices(config):
+    frame = config.frame
+    if not frame.loops:
         return None
-    counts = loops_per_vertex(config)
+    counts = frame.loop_counts
     if any(c != 1 for c in counts):
-        return {"loops_per_vertex": counts}
-    if opposite_pair_cover(config, multiplicity=2, exact=True) is None:
+        return {"loops_per_vertex": list(counts)}
+    if frame.exact_pair_cover is None:
         return {
             "reason": "no opposite-parity pairing by exactly two edges",
         }
@@ -365,8 +428,9 @@ def _r_loop_cover_form(config, env):
 
 
 def _r_endgame(config, env):
-    p, n = vertex_types(config)[0]
-    looped = bool(loop_vertices(config))
+    frame = config.frame
+    p, n = frame.types[0]
+    looped = bool(frame.loops)
     if (p, n) == (4, 2) and looped:
         return {"shape": "loop-plus-two-cycle chain, split (4,2)"}
     if (p, n) == (2, 4) and partner_has_loops(config):

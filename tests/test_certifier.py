@@ -9,10 +9,17 @@ import pytest
 from toruscert import certifier
 from toruscert.certifier import (
     CaseParams,
+    Frame,
     certify_case,
     derive_delta_bound,
     distance_forcing,
+    iter_configs,
+    loop_vertices,
+    loops_per_vertex,
     make_config,
+    opposite_pair_cover,
+    sign_patterns,
+    vertex_types,
 )
 from toruscert.embedded import expand_decorated, reduce_graph
 from toruscert.enumeration import enumerate_reduced_torus_graphs
@@ -79,8 +86,9 @@ def test_two_boundary_loop_permutations_are_conjugate():
         cls, = enumerate_reduced_torus_graphs(2, degrees=(6, 6))
         graph = cls.graph()
         for parities in itertools.product((1,), (1, -1)):
+            frame = Frame(graph, cls.key, parities, t)
             for offsets in itertools.product((0,), range(t)):
-                config = make_config(graph, cls.key, parities, offsets, t)
+                config = make_config(frame, offsets)
                 loops = [f for f in config.families if f.is_loop]
                 conns = [f for f in config.families if not f.is_loop]
                 assert len(loops) == 2 and len(conns) == 4
@@ -230,10 +238,11 @@ def test_decorated_model_matches_member_level_graphs():
             for parities in itertools.product((1, -1), repeat=s):
                 if parities[0] != 1:
                     continue
+                frame = Frame(g, cls.key, parities, t)
                 for offsets in itertools.product(range(t), repeat=s):
                     if offsets[0] != 0:
                         continue
-                    config = make_config(g, cls.key, parities, offsets, t)
+                    config = make_config(frame, offsets)
                     red = reduce_graph(expand_decorated(g, t, parities, offsets))
                     assert red.graph.canonical_key() == cls.key
                     for fam, cf in zip(red.families, config.families):
@@ -257,3 +266,43 @@ def test_enumeration_survivors_never_exceed_counting_bounds():
     for s, t in [(1, 2), (2, 2)]:
         cert = derive_delta_bound(CaseParams(s, t, 6))
         assert cert.delta_bound <= 8
+
+
+@pytest.mark.parametrize("s,t", [(1, 3), (2, 4), (3, 4), (4, 4)])
+def test_frames_agree_with_views_and_closed_form(s, t):
+    # every stored view equals the view computed on the configuration, and
+    # every looked-up family equals its closed form; at s = 2 the two pair
+    # covers differ, as four edges join the two vertices
+    for cls in enumerate_reduced_torus_graphs(s, degrees=(6,) * s):
+        ends = cls.graph().edge_ends()
+        seen = 0
+        for config in iter_configs(cls, t):
+            seen += 1
+            frame = config.frame
+            assert frame.types == vertex_types(config)
+            assert frame.patterns == sign_patterns(config)
+            assert frame.loops == loop_vertices(config)
+            assert list(frame.loop_counts) == loops_per_vertex(config)
+            assert frame.pair_cover == opposite_pair_cover(config, multiplicity=2)
+            assert frame.exact_pair_cover == opposite_pair_cover(
+                config, multiplicity=2, exact=True
+            )
+            signs = [f.sign for f in config.families]
+            assert frame.all_positive == all(x == 1 for x in signs)
+            assert frame.positive == tuple(i for i, x in enumerate(signs) if x == 1)
+            p, o = config.parities, config.offsets
+            want = tuple(
+                (i, u, v, p[u] * p[v], (o[v] - p[v] + p[u] * p[v] * o[u]) % t, u == v)
+                for i, (u, v) in enumerate(ends)
+            )
+            assert config.families == want
+        assert seen == 2 ** (s - 1) * t ** (s - 1)
+
+
+def test_positive_identity_closed_form():
+    for t in range(1, 9):
+        for shift in range(-t, 2 * t):
+            for sign in (1, -1):
+                fam = certifier.Family(0, 0, 1, sign, shift, False)
+                brute = all((shift - sign * x) % t == x for x in range(t))
+                assert fam.induces_identity(t) == brute, (t, shift, sign)
