@@ -17,9 +17,11 @@ is built once per class and parity vector, before the offsets vary.  It
 holds every edge's sign, the ``t`` possible families of every edge indexed
 by shift, and the derived views the rules read (vertex types, sign
 patterns, loops, opposite-parity pair covers), which depend on the signs and
-loops alone.  :func:`make_config` then decorates one configuration with one
-table lookup per edge, and each rule still runs once for every configuration
-it is applied to.
+loops alone.  A configuration is only its frame and its offsets:
+:func:`make_config` pairs them, and the families are derived when they are
+read.  Each rule declares whether it reads the ``frame`` alone or the
+``offsets`` too, and the offset rules compute only the shifts they read.
+Each rule still runs once for every configuration it is applied to.
 
 Every rule's ``anchor`` is the one-line mathematical justification recorded
 in the certificate, making the trust boundary of axiom-backed rules
@@ -64,13 +66,6 @@ class Family(NamedTuple):
     shift: int
     is_loop: bool
 
-    def has_fixed_point(self, t):
-        if self.sign == -1:
-            return self.shift % t == 0
-        if t % 2:
-            return True
-        return self.shift % 2 == 0
-
     def induces_identity(self, t):
         if self.sign == -1:
             return self.shift % t == 0
@@ -83,16 +78,45 @@ class Family(NamedTuple):
 
 
 class Config(NamedTuple):
-    """A decorated candidate: graph class + vertex parities + label offsets."""
+    """A decorated candidate: a :class:`Frame` (graph class + vertex
+    parities) and a tuple of label offsets, one per vertex.
 
-    degrees: tuple
-    matching: tuple
-    graph_key: bytes
-    parities: tuple
-    offsets: tuple
-    t: int
-    families: tuple
+    Everything else reads through to the frame, and ``families`` is derived
+    from the frame's table on every read.
+    """
+
     frame: Frame
+    offsets: tuple
+
+    @property
+    def degrees(self):
+        return self.frame.degrees
+
+    @property
+    def matching(self):
+        return self.frame.matching
+
+    @property
+    def graph_key(self):
+        return self.frame.graph_key
+
+    @property
+    def parities(self):
+        return self.frame.parities
+
+    @property
+    def t(self):
+        return self.frame.t
+
+    @property
+    def families(self):
+        """Every edge's family: one table lookup per edge."""
+        frame, offsets = self
+        t = frame.t
+        return tuple([
+            row[(offsets[v] + c + sign * offsets[u]) % t]
+            for row, (u, v, sign, c) in zip(frame.table, frame.edges)
+        ])
 
     def describe(self):
         return {
@@ -121,16 +145,19 @@ class Frame:
 
     ``edges`` holds each edge's ``(u, v, sign, c)``, where ``c = -p_v`` is the
     offset-free part of its shift, and ``table`` each edge's ``t`` families
-    indexed by shift.  ``positive`` indexes the positive families.
-    ``families`` are those at offsets zero.  The views read only the ends,
-    signs and loop flags of the families, which no offset changes, so they
-    are computed here once, on the frame itself.
+    indexed by shift.  ``positive`` holds ``(i, u, v, c)`` for each positive
+    edge ``i`` and ``negative`` holds ``(u, v, c)`` for each negative one, so
+    a rule can compute a shift without building the family.  ``families``
+    are those at offsets zero.  The views read only the ends, signs and loop
+    flags of the families, which no offset changes, so they are computed
+    here once, on the frame itself.
     """
 
     __slots__ = (
         "degrees", "matching", "graph_key", "parities", "t", "edges", "table",
-        "families", "all_positive", "positive", "types", "patterns", "loops",
-        "loop_counts", "pair_cover", "exact_pair_cover",
+        "families", "all_positive", "positive", "negative", "types",
+        "mixed_types", "patterns", "mixed_patterns", "loops", "loop_counts",
+        "pair_cover", "exact_pair_cover",
     )
 
     def __init__(self, graph: FatGraph, key: bytes, parities, t):
@@ -150,36 +177,24 @@ class Frame:
         self.edges = tuple(edges)
         self.table = tuple(table)
         self.families = tuple(row[c % t] for row, (_, _, _, c) in zip(table, edges))
-        self.positive = tuple(i for i, (_, _, sign, _) in enumerate(edges) if sign == 1)
-        self.all_positive = len(self.positive) == len(edges)
+        self.positive = tuple(
+            (i, u, v, c) for i, (u, v, sign, c) in enumerate(edges) if sign == 1
+        )
+        self.negative = tuple((u, v, c) for u, v, sign, c in edges if sign == -1)
+        self.all_positive = not self.negative
         self.types = vertex_types(self)
+        self.mixed_types = len(set(self.types)) > 1
         self.patterns = sign_patterns(self)
+        self.mixed_patterns = len(set(self.patterns)) > 1
         self.loops = frozenset(loop_vertices(self))
         self.loop_counts = tuple(loops_per_vertex(self))
         self.pair_cover = opposite_pair_cover(self, multiplicity=2)
         self.exact_pair_cover = opposite_pair_cover(self, multiplicity=2, exact=True)
 
 
-def make_config(frame: Frame, offsets) -> Config:
-    """The configuration of ``frame`` at ``offsets``: one lookup per edge."""
-    t = frame.t
-    families = tuple([
-        row[(offsets[v] + c + sign * offsets[u]) % t]
-        for row, (u, v, sign, c) in zip(frame.table, frame.edges)
-    ])
-    return _record(
-        Config,
-        (
-            frame.degrees,
-            frame.matching,
-            frame.graph_key,
-            frame.parities,
-            tuple(offsets),
-            t,
-            families,
-            frame,
-        ),
-    )
+def make_config(frame: Frame, offsets: tuple) -> Config:
+    """The configuration of ``frame`` at ``offsets``; nothing is computed."""
+    return _record(Config, (frame, offsets))
 
 
 def iter_configs(cls, t):
@@ -265,8 +280,11 @@ def loops_per_vertex(config: Config):
 def partner_has_loops(config: Config):
     """A partner loop is an arc with equal labels at both ends, i.e. a fixed
     point of some family's matching; positive families are already fixed
-    point free when this is queried."""
-    return any(f.sign == -1 and f.shift % config.t == 0 for f in config.families)
+    point free when this is queried.  A negative family's shift is
+    ``o_v + c - o_u``, and it has a fixed point exactly when that is 0 mod t."""
+    frame, offsets = config.frame, config.offsets
+    t = frame.t
+    return any((offsets[v] + c - offsets[u]) % t == 0 for u, v, c in frame.negative)
 
 
 def opposite_pair_cover(config: Config, multiplicity=2, exact=False):
@@ -307,6 +325,10 @@ def opposite_pair_cover(config: Config, multiplicity=2, exact=False):
 
 @dataclass(frozen=True)
 class Rule:
+    """One pruning rule.  ``stage`` is what ``fn`` reads: ``"frame"`` (the
+    class and parities only, so its verdict is the same at every offset
+    vector of a frame) or ``"offsets"`` (the shifts as well)."""
+
     name: str
     anchor: str
     stage: str
@@ -328,36 +350,42 @@ def _r_all_positive(config, env):
 
 
 def _r_positive_fixed_point(config, env):
-    families = config.families
-    for i in config.frame.positive:
-        f = families[i]
-        if f.has_fixed_point(config.t):
+    # a positive family's shift is o_u + o_v + c, and x -> shift - x fixes
+    # some x when 2x = shift (mod t): always at odd t, and at even t exactly
+    # when the shift is even
+    frame, offsets = config.frame, config.offsets
+    t = frame.t
+    odd = t % 2
+    for i, u, v, c in frame.positive:
+        shift = (offsets[u] + offsets[v] + c) % t
+        if odd or not shift % 2:
             return {
-                "family": f.index,
-                "shift": f.shift,
-                "partner_count": config.t,
+                "family": i,
+                "shift": shift,
+                "partner_count": t,
                 "reason": "positive family induces an involution with a fixed point",
             }
     return None
 
 
 def _r_type_uniformity(config, env):
-    types = config.frame.types
-    if len(set(types)) > 1:
-        return {"vertex_types": [list(x) for x in types]}
+    frame = config.frame
+    if frame.mixed_types:
+        return {"vertex_types": [list(x) for x in frame.types]}
     return None
 
 
 def _r_pattern_uniformity(config, env):
-    pats = config.frame.patterns
-    if len(set(pats)) > 1:
-        return {"sign_patterns": [list(p) for p in pats]}
+    frame = config.frame
+    if frame.mixed_patterns:
+        return {"sign_patterns": [list(p) for p in frame.patterns]}
     return None
 
 
 def _r_loop_propagation(config, env):
-    lv = config.frame.loops
-    s = len(config.parities)
+    frame = config.frame
+    lv = frame.loops
+    s = len(frame.parities)
     if lv and len(lv) < s:
         return {"looped_vertices": sorted(lv), "vertices": s}
     return None
@@ -367,7 +395,7 @@ def _r_two_cycle_cover(config, env):
     frame = config.frame
     if frame.all_positive:
         return None  # handled by the all-positive rule
-    s = len(config.parities)
+    s = len(frame.parities)
     if s % 2:
         return {
             "vertices": s,
@@ -447,7 +475,7 @@ _GENERIC_RULES = [
         "if every family were positive every partner edge would be negative, and"
         " a triangulated partner graph cannot have a triangle face with an odd"
         " number of negative sides",
-        "parity",
+        "frame",
         _r_all_positive,
     ),
     Rule(
@@ -455,7 +483,7 @@ _GENERIC_RULES = [
         "a fixed point of the involution induced by a positive family would be a"
         " loop at a partner vertex that is negative there, impossible on an"
         " orientable surface; at full size this also forces an even partner count",
-        "size",
+        "offsets",
         _r_positive_fixed_point,
     ),
     Rule(
@@ -463,7 +491,7 @@ _GENERIC_RULES = [
         "with every family at full size, the arcs sharing one endpoint label"
         " around a vertex represent its reduced edges one-to-one, so the sign"
         " split (p, n) propagates across both graphs to every vertex",
-        "parity",
+        "frame",
         _r_type_uniformity,
     ),
     Rule(
@@ -471,14 +499,14 @@ _GENERIC_RULES = [
         "at distance six the jumping number is one: the six shared arcs of two"
         " vertices appear in the same cyclic order around both up to reflection,"
         " so all vertices carry one cyclic sign pattern",
-        "jn1",
+        "frame",
         _r_pattern_uniformity,
     ),
     Rule(
         "loop-propagation",
         "a loop family gives some negative partner family a fixed label, hence"
         " the identity translation, whose members are loops at every vertex here",
-        "orbit",
+        "frame",
         _r_loop_propagation,
     ),
     Rule(
@@ -487,14 +515,14 @@ _GENERIC_RULES = [
         " exists; its edge orbits are disjoint essential 2-cycles pairing"
         " opposite-parity vertices by two non-parallel edges each, so such a"
         " pairing must exist and the vertex count is even",
-        "orbit",
+        "frame",
         _r_two_cycle_cover,
     ),
     Rule(
         "positive-structure-no-loops",
         "when a positive partner family has full size, some vertex here keeps at"
         " most two incident positive non-loop reduced edges",
-        "orbit",
+        "frame",
         _r_positive_structure_no_loops,
     ),
     Rule(
@@ -503,7 +531,7 @@ _GENERIC_RULES = [
         " induces the identity; a loopless partner needs a vertex with at most"
         " two positive edges, and a looped one is forced into the"
         " loop-plus-two-cycle form with sign split (4,2) or (2,4)",
-        "orbit",
+        "offsets",
         _r_partner_positive_structure,
     ),
     Rule(
@@ -512,7 +540,7 @@ _GENERIC_RULES = [
         " structure is generated by partner orbits is the loop-plus-two-cycle"
         " chain: one loop per vertex and an opposite-parity pairing by exactly"
         " two edges",
-        "orbit",
+        "frame",
         _r_loop_cover_form,
     ),
     Rule(
@@ -521,7 +549,7 @@ _GENERIC_RULES = [
         " vertex that leave the cycle sit on one side and the two positive ones"
         " on the other, leaving the opposite cycle vertex with reduced degree at"
         " most four instead of six",
-        "orbit",
+        "offsets",
         _r_endgame,
     ),
 ]
@@ -542,7 +570,7 @@ def _connector_split(config):
 
 
 def _r_two_vertex_form(config, env):
-    if config.graph_key != env.two_vertex_key:
+    if config.frame.graph_key != env.two_vertex_key:
         return {"reason": "not the antipodal-loop two-vertex form"}
     return None
 
@@ -604,7 +632,7 @@ _TWO_VERTEX_RULES = [
         "a two-vertex reduced graph with degree six and full-size families has"
         " one loop at each vertex with antipodal ends and four connecting"
         " families",
-        "parity",
+        "frame",
         _r_two_vertex_form,
     ),
     _GENERIC_RULES[1],  # positive-involution-fixed-point-free
@@ -613,7 +641,7 @@ _TWO_VERTEX_RULES = [
         "if the connecting permutation equals a loop permutation, the partner"
         " graph is generated by that loop's orbits and every partner family is"
         " negative of size six, exceeding the negative bound of three",
-        "orbit",
+        "offsets",
         _r_connector_equals_loop,
     ),
     Rule(
@@ -621,7 +649,7 @@ _TWO_VERTEX_RULES = [
         "an identity connecting permutation makes the partner subgraph a union"
         " of loop-plus-2-cycle components, violating the jumping-number-one"
         " distribution of shared arcs",
-        "orbit",
+        "offsets",
         _r_connector_identity,
     ),
     Rule(
@@ -630,7 +658,7 @@ _TWO_VERTEX_RULES = [
         " size-four partner families it stacks are negative, exceeding the"
         " negative bound of three (the exceptional manifolds allow distances"
         " 4, 2, 1 only)",
-        "size",
+        "offsets",
         _r_connector_generic_positive,
     ),
     Rule(
@@ -639,7 +667,7 @@ _TWO_VERTEX_RULES = [
         " positive partner families; their three S-cycle faces regenerate the"
         " surface from a once-punctured Klein bottle whose full-size negative"
         " families induce the identity, contradicting genericity",
-        "orbit",
+        "offsets",
         _r_connector_generic_klein,
     ),
 ]
@@ -649,8 +677,9 @@ _TWO_VERTEX_RULES = [
 
 
 def _r_one_vertex_neg_size(config, env):
-    loops = [f for f in config.families if f.is_loop]
-    if len(loops) != 3 or len(config.families) != 3:
+    families = config.families
+    loops = [f for f in families if f.is_loop]
+    if len(loops) != 3 or len(families) != 3:
         raise InvariantViolation("one-vertex form expected")
     shifts = {f.shift for f in loops}
     if len(shifts) != 1:
@@ -672,7 +701,7 @@ _ONE_VERTEX_RULES = [
         " involution, so the partner graph's families are negative of size"
         " three, one more than the bound; only the exceptional manifolds with"
         " distances 4, 2, 1 admit that",
-        "size",
+        "offsets",
         _r_one_vertex_neg_size,
     ),
 ]

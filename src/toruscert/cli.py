@@ -208,7 +208,7 @@ def lemma_distance_forcing(t_, delta, negative_size):
 
 
 @cli.command()
-@click.option("--n", "n_", type=int, required=True, help="label modulus")
+@click.option("--n", "n_", type=click.IntRange(min=1), required=True, help="label modulus")
 @click.option("--alpha", type=int, required=True)
 @click.option("--epsilon", type=int, required=True)
 def perm(n_, alpha, epsilon):

@@ -192,6 +192,8 @@ def polarization_consequences(t, size, alpha, partner_polarized=None, face_sizes
     face on the family's own side is even sided.  Any given conjunct that
     fails is a contradiction witness.
     """
+    if t < 1:
+        raise ValueError("partner count must be >= 1")
     if size < t + 1:
         raise ValueError("polarization consequences require size >= t + 1")
     g = math.gcd(t, alpha % t)

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
@@ -23,7 +24,7 @@ from toruscert.certifier import (
 )
 from toruscert.embedded import expand_decorated, reduce_graph
 from toruscert.enumeration import enumerate_reduced_torus_graphs
-from toruscert.errors import ScaleLimit
+from toruscert.errors import InvariantViolation, ScaleLimit
 from toruscert.params import NEUTRAL, POLARIZED
 from toruscert.perms import induced_permutation
 
@@ -289,8 +290,15 @@ def test_frames_agree_with_views_and_closed_form(s, t):
             )
             signs = [f.sign for f in config.families]
             assert frame.all_positive == all(x == 1 for x in signs)
-            assert frame.positive == tuple(i for i, x in enumerate(signs) if x == 1)
+            assert frame.mixed_types == (len(set(frame.types)) > 1)
+            assert frame.mixed_patterns == (len(set(frame.patterns)) > 1)
             p, o = config.parities, config.offsets
+            assert frame.positive == tuple(
+                (i, u, v, -p[v]) for i, (u, v) in enumerate(ends) if signs[i] == 1
+            )
+            assert frame.negative == tuple(
+                (u, v, -p[v]) for i, (u, v) in enumerate(ends) if signs[i] == -1
+            )
             want = tuple(
                 (i, u, v, p[u] * p[v], (o[v] - p[v] + p[u] * p[v] * o[u]) % t, u == v)
                 for i, (u, v) in enumerate(ends)
@@ -306,3 +314,116 @@ def test_positive_identity_closed_form():
                 fam = certifier.Family(0, 0, 1, sign, shift, False)
                 brute = all((shift - sign * x) % t == x for x in range(t))
                 assert fam.induces_identity(t) == brute, (t, shift, sign)
+
+
+# -- decoration on demand against the eager reference ------------------------
+
+
+class EagerConfig(NamedTuple):
+    """The configuration record with every family looked up when it is made,
+    as :func:`eager_make_config` builds it."""
+
+    degrees: tuple
+    matching: tuple
+    graph_key: bytes
+    parities: tuple
+    offsets: tuple
+    t: int
+    families: tuple
+    frame: Frame
+
+    describe = certifier.Config.describe
+
+
+def eager_make_config(frame, offsets):
+    t = frame.t
+    families = tuple([
+        row[(offsets[v] + c + sign * offsets[u]) % t]
+        for row, (u, v, sign, c) in zip(frame.table, frame.edges)
+    ])
+    return EagerConfig(
+        frame.degrees, frame.matching, frame.graph_key, frame.parities,
+        tuple(offsets), t, families, frame,
+    )
+
+
+def _has_fixed_point(f, t):
+    # by brute force: some member label x with x = shift - sign * x (mod t)
+    return any((f.shift - f.sign * x) % t == x for x in range(t))
+
+
+def eager_positive_fixed_point(config, env):
+    # the rule read from the families
+    for f in config.families:
+        if f.sign == 1 and _has_fixed_point(f, config.t):
+            return {
+                "family": f.index,
+                "shift": f.shift,
+                "partner_count": config.t,
+                "reason": "positive family induces an involution with a fixed point",
+            }
+    return None
+
+
+def eager_partner_has_loops(config):
+    return any(f.sign == -1 and _has_fixed_point(f, config.t) for f in config.families)
+
+
+def _case_env(s, t, classes):
+    key = certifier._two_vertex_form_key(classes) if s == 2 else None
+    return certifier.CaseEnv(s=s, t=t, delta=6, two_vertex_key=key)
+
+
+def _outcome(fn, config, env):
+    try:
+        return fn(config, env)
+    except InvariantViolation as exc:
+        return ("raises", str(exc))
+
+
+EAGER_CASES = [(s, t) for s in (1, 2, 3) for t in (3, 4, 5, 6)] + [(4, 4), (4, 5)]
+
+
+@pytest.mark.parametrize("s,t", EAGER_CASES)
+def test_decoration_on_demand_matches_eager_reference(monkeypatch, s, t):
+    # every rule is run on every configuration, not only on those the chain
+    # passes to it, and returns what it returns on the eager record, where
+    # the positive fixed points and the partner loops are found by brute
+    # force over the families; odd t is included, as the inline rule 2
+    # branches on t % 2
+    classes = enumerate_reduced_torus_graphs(s, degrees=(6,) * s)
+    env = _case_env(s, t, classes)
+    chain = certifier.build_chain(s)
+    configs = [c for cls in classes for c in iter_configs(cls, t)]
+    eager = [eager_make_config(c.frame, c.offsets) for c in configs]
+    got = [[_outcome(rule.fn, c, env) for rule in chain] for c in configs]
+    for config, ref in zip(configs, eager):
+        assert config.families == ref.families
+        assert config.describe() == ref.describe()
+        assert (config.degrees, config.matching, config.graph_key) == ref[:3]
+        assert (config.parities, config.t) == (ref.parities, ref.t)
+    reference = {certifier._r_positive_fixed_point: eager_positive_fixed_point}
+    monkeypatch.setattr(certifier, "partner_has_loops", eager_partner_has_loops)
+    want = [
+        [_outcome(reference.get(rule.fn, rule.fn), c, env) for rule in chain]
+        for c in eager
+    ]
+    assert got == want
+
+
+@pytest.mark.parametrize("s,t", [(1, 3), (2, 4), (3, 4), (3, 5), (4, 4)])
+def test_frame_rules_ignore_offsets(s, t):
+    # a frame rule gives one verdict per frame: the one it gives with no
+    # offsets at all, at every offset vector
+    classes = enumerate_reduced_torus_graphs(s, degrees=(6,) * s)
+    env = _case_env(s, t, classes)
+    chain = certifier.build_chain(s)
+    assert {rule.stage for rule in chain} <= {"frame", "offsets"}
+    rules = [rule for rule in chain if rule.stage == "frame"]
+    for cls in classes:
+        for frame, group in itertools.groupby(iter_configs(cls, t), lambda c: c.frame):
+            group = list(group)
+            assert len(group) == t ** (s - 1)
+            for rule in rules:
+                verdict = rule.fn(make_config(frame, None), env)
+                assert all(rule.fn(c, env) == verdict for c in group), rule.name

@@ -110,6 +110,17 @@ def test_perm_command(runner):
     assert "(1, 4)" in res.output and "(2, 3)" in res.output
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_perm_rejects_bad_modulus(n):
+    assert main(["perm", "--n", n, "--alpha", "1", "--epsilon", "1"]) == 64
+
+
+def test_lemma_polarization_rejects_bad_partner_count(capsys):
+    argv = ["lemma", "polarization", "--t", "0", "--size", "1", "--alpha", "0"]
+    assert main(argv) == 64
+    assert "partner count must be >= 1" in capsys.readouterr().err
+
+
 def test_klein_command(runner):
     res = runner.invoke(cli, ["klein", "--m", "2"])
     assert res.exit_code == 0

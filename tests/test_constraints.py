@@ -102,6 +102,12 @@ def test_polarization_consequences():
         polarization_consequences(4, 3, 1)
 
 
+@pytest.mark.parametrize("t", [0, -2])
+def test_polarization_consequences_rejects_bad_partner_count(t):
+    with pytest.raises(ValueError, match="partner count"):
+        polarization_consequences(t, 1, 0)
+
+
 def test_detect_s_cycles_consecutive_labels():
     # positive loop family of size t: members j, j+1 swap exactly when the
     # involution pairs them, giving bigons of type {j, j+1}

@@ -9,8 +9,8 @@ import importlib
 
 import pytest
 
-from toruscert import certifier
-from toruscert.params import CaseParams
+from toruscert import certifier, enumeration
+from toruscert.params import NEUTRAL, CaseParams
 
 TRACED = [
     ("toruscert.certifier", "make_config"),
@@ -41,8 +41,18 @@ def test_traced_name_exists(module, attr):
     assert callable(obj)
 
 
-def test_certify_prints_nothing(capsys):
-    # a traced run reads its result from the last line of standard output
-    certifier.certify_case(CaseParams(3, 4, 6)).to_json()
-    captured = capsys.readouterr()
+def test_certify_prints_nothing(capfd):
+    # a traced run reads its result from the last line of standard output;
+    # capfd captures the descriptor itself, so pool workers are heard too
+    for params in [
+        CaseParams(3, 4, 6),
+        CaseParams(4, 4, 6),
+        CaseParams(1, 3, 6),
+        CaseParams(2, 4, 6),
+        CaseParams(2, 2, 6, NEUTRAL, NEUTRAL),
+        CaseParams(1, 2, 6),
+    ]:
+        certifier.certify_case(params).to_json()
+    assert enumeration.enumerate_reduced_torus_graphs(2, max_edges=5, workers=2)
+    captured = capfd.readouterr()
     assert captured.out == ""
