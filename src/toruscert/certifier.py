@@ -82,7 +82,7 @@ class Config(NamedTuple):
     parities) and a tuple of label offsets, one per vertex.
 
     Everything else reads through to the frame, and ``families`` is derived
-    from the frame's table on every read.
+    from the frame's edges on every read.
     """
 
     frame: Frame
@@ -110,13 +110,9 @@ class Config(NamedTuple):
 
     @property
     def families(self):
-        """Every edge's family: one table lookup per edge."""
+        """Every edge's family, built from the frame's edges and the offsets."""
         frame, offsets = self
-        t = frame.t
-        return tuple([
-            row[(offsets[v] + c + sign * offsets[u]) % t]
-            for row, (u, v, sign, c) in zip(frame.table, frame.edges)
-        ])
+        return frame.families_at(offsets)
 
     def describe(self):
         return {
@@ -144,18 +140,18 @@ class Frame:
     """What every configuration of one class and parity vector shares.
 
     ``edges`` holds each edge's ``(u, v, sign, c)``, where ``c = -p_v`` is the
-    offset-free part of its shift, and ``table`` each edge's ``t`` families
-    indexed by shift.  ``positive`` holds ``(i, u, v, c)`` for each positive
-    edge ``i`` and ``negative`` holds ``(u, v, c)`` for each negative one, so
-    a rule can compute a shift without building the family.  ``families``
-    are those at offsets zero.  The views read only the ends, signs and loop
+    offset-free part of its shift; :meth:`families_at` builds the families
+    from them.  ``positive`` holds ``(i, u, v, c)`` for each positive edge
+    ``i`` and ``negative`` holds ``(u, v, c)`` for each negative one, so a
+    rule can compute a shift without building the family.  ``families`` are
+    those at offsets zero.  The views read only the ends, signs and loop
     flags of the families, which no offset changes, so they are computed
     here once, on the frame itself.
     """
 
     __slots__ = (
-        "degrees", "matching", "graph_key", "parities", "t", "edges", "table",
-        "families", "all_positive", "positive", "negative", "types",
+        "degrees", "matching", "graph_key", "parities", "t", "edges", "families",
+        "all_positive", "positive", "negative", "types",
         "mixed_types", "patterns", "mixed_patterns", "loops", "loop_counts",
         "pair_cover", "exact_pair_cover",
     )
@@ -167,16 +163,11 @@ class Frame:
         self.parities = parities = tuple(parities)
         self.t = t
         edges = []
-        table = []
-        for i, (u, v) in enumerate(graph.edge_ends()):
+        for u, v in graph.edge_ends():
             sign = parities[u] * parities[v]
             edges.append((u, v, sign, -parities[v]))
-            table.append(tuple(
-                _record(Family, (i, u, v, sign, shift, u == v)) for shift in range(t)
-            ))
-        self.edges = tuple(edges)
-        self.table = tuple(table)
-        self.families = tuple(row[c % t] for row, (_, _, _, c) in zip(table, edges))
+        self.edges = edges = tuple(edges)
+        self.families = self.families_at((0,) * len(parities))
         self.positive = tuple(
             (i, u, v, c) for i, (u, v, sign, c) in enumerate(edges) if sign == 1
         )
@@ -190,6 +181,15 @@ class Frame:
         self.loop_counts = tuple(loops_per_vertex(self))
         self.pair_cover = opposite_pair_cover(self, multiplicity=2)
         self.exact_pair_cover = opposite_pair_cover(self, multiplicity=2, exact=True)
+
+    def families_at(self, offsets):
+        """Every edge's family at ``offsets``: edge ``i`` from ``u`` to ``v``
+        has shift ``o_v + c + sign * o_u`` (mod t)."""
+        t = self.t
+        return tuple([
+            _record(Family, (i, u, v, sign, (offsets[v] + c + sign * offsets[u]) % t, u == v))
+            for i, (u, v, sign, c) in enumerate(self.edges)
+        ])
 
 
 def make_config(frame: Frame, offsets: tuple) -> Config:

@@ -99,6 +99,9 @@ def _finish(verdict):
 @click.option("--sign-t", type=int, required=True)
 def lemma_parity(sign_s, sign_t):
     """An arc is positive on one side iff negative on the other."""
+    for name, sign in (("--sign-s", sign_s), ("--sign-t", sign_t)):
+        if sign not in (1, -1):
+            raise click.UsageError(f"{name} must be 1 or -1, not {sign}")
     return _finish(check_parity_rule(sign_s, sign_t))
 
 

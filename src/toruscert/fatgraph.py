@@ -6,6 +6,13 @@ vertex is the standard cyclic order of its darts (every fat graph can be
 relabelled into this form, see :mod:`toruscert.kernel`).  Faces are orbits
 of ``d -> rho[M[d]]``, and the derived closed orientable surface has Euler
 characteristic ``V - E + F``.
+
+Homology of edge cycles is decided against the span of the face boundaries.
+Each graph row-reduces that span once, in exact rational arithmetic, the
+first time a cycle is tested, and keeps the basis with its pivot columns on
+the instance, beside the cached faces.  Every later test, such as the
+candidate pairs of :meth:`FatGraph.parallel_edge_pairs` and the loops of
+:meth:`FatGraph.trivial_loops`, reduces only its own cycle against it.
 """
 from __future__ import annotations
 
@@ -18,7 +25,10 @@ from toruscert import kernel
 class FatGraph:
     """An embedded graph given by a rotation system."""
 
-    __slots__ = ("degrees", "matching", "_vert", "_rho", "_rho_inv", "_faces", "_ends")
+    __slots__ = (
+        "degrees", "matching", "_vert", "_rho", "_rho_inv", "_faces", "_ends",
+        "_basis",
+    )
 
     def __init__(self, degrees, matching, check=True):
         self.degrees = tuple(degrees)
@@ -26,6 +36,7 @@ class FatGraph:
         self._vert, self._rho, self._rho_inv = kernel.standard_rotation(self.degrees)
         self._faces = None
         self._ends = None
+        self._basis = None
         if check:
             n = sum(self.degrees)
             if len(self.matching) != n:
@@ -193,33 +204,44 @@ class FatGraph:
             rows.append(row)
         return rows
 
+    def _face_basis(self):
+        """The face boundaries row-reduced once: ``(pivot column, row)`` pairs.
+
+        Each row is a face boundary with the pivots of the earlier rows
+        eliminated, in exact rational arithmetic, and its pivot is its first
+        nonzero column.  Faces whose boundary is already spanned add no row.
+        Computed once per graph and cached.
+        """
+        if self._basis is None:
+            ncols = self.num_edges
+            basis = []
+            for face_row in self._face_boundaries():
+                row = [Fraction(x) for x in face_row]
+                for pcol, prow in basis:
+                    if row[pcol]:
+                        f = row[pcol] / prow[pcol]
+                        row = [x - f * y for x, y in zip(row, prow)]
+                for c in range(ncols):
+                    if row[c]:
+                        basis.append((c, tuple(row)))
+                        break
+            self._basis = tuple(basis)
+        return self._basis
+
     def cycle_is_null_homologous(self, cycle_vector):
         """Whether an integer edge cycle bounds in the derived surface.
 
         ``cycle_vector`` is a coefficient list over the edges (oriented from
-        their lower dart).  The cycle must be closed; membership in the span
-        of the face boundaries is decided by exact rational elimination,
-        which is equivalent to integral membership here because the first
-        homology of a closed orientable surface is torsion free.
+        their lower dart), and the cycle must be closed.  It bounds exactly
+        when it lies in the span of the face boundaries.  The graph's
+        row-reduced face basis (:meth:`_face_basis`) is built once and
+        cached, so each call only reduces ``cycle_vector`` against it, in
+        exact rational arithmetic.  Rational membership is equivalent to
+        integral membership here because the first homology of a closed
+        orientable surface is torsion free.
         """
-        rows = [
-            [Fraction(x) for x in row] for row in self._face_boundaries()
-        ]
         target = [Fraction(x) for x in cycle_vector]
-        ncols = self.num_edges
-        pivot_col = []
-        reduced = []
-        for row in rows:
-            for prow, pcol in zip(reduced, pivot_col):
-                if row[pcol]:
-                    f = row[pcol] / prow[pcol]
-                    row = [x - f * y for x, y in zip(row, prow)]
-            for c in range(ncols):
-                if row[c]:
-                    reduced.append(row)
-                    pivot_col.append(c)
-                    break
-        for prow, pcol in zip(reduced, pivot_col):
+        for pcol, prow in self._face_basis():
             if target[pcol]:
                 f = target[pcol] / prow[pcol]
                 target = [x - f * y for x, y in zip(target, prow)]

@@ -336,11 +336,11 @@ class EagerConfig(NamedTuple):
 
 
 def eager_make_config(frame, offsets):
-    t = frame.t
-    families = tuple([
-        row[(offsets[v] + c + sign * offsets[u]) % t]
-        for row, (u, v, sign, c) in zip(frame.table, frame.edges)
-    ])
+    t, p, o = frame.t, frame.parities, offsets
+    families = tuple(
+        certifier.Family(i, u, v, p[u] * p[v], (o[v] - p[v] + p[u] * p[v] * o[u]) % t, u == v)
+        for i, (u, v, _, _) in enumerate(frame.edges)
+    )
     return EagerConfig(
         frame.degrees, frame.matching, frame.graph_key, frame.parities,
         tuple(offsets), t, families, frame,

@@ -68,6 +68,10 @@ def test_raised_t_cap_is_honoured(monkeypatch):
 def test_lemma_parity_exit_codes():
     assert main(["lemma", "parity", "--sign-s", "1", "--sign-t", "-1"]) == 0
     assert main(["lemma", "parity", "--sign-s", "1", "--sign-t", "1"]) == 1
+    # a sign is +1 or -1; anything else is a usage error, not a verdict
+    assert main(["lemma", "parity", "--sign-s", "0", "--sign-t", "0"]) == 64
+    assert main(["lemma", "parity", "--sign-s", "5", "--sign-t", "-5"]) == 64
+    assert main(["lemma", "parity", "--sign-s", "1", "--sign-t", "0"]) == 64
 
 
 def test_lemma_no_double_parallel_exit_codes():

@@ -4,6 +4,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toruscert import kernel
+from toruscert.enumeration import degree_sequences
 from toruscert.fatgraph import FatGraph, random_fat_graph
 
 
@@ -64,6 +66,140 @@ def test_parallel_loops_do_not_depend_on_labelling():
     assert a.canonical_key() == b.canonical_key()
     assert a.parallel_edge_pairs() == ((0, 4),)
     assert b.parallel_edge_pairs() == ((1, 2),)
+
+
+# -- the reducedness filter against face potentials -------------------------
+# The reference decides null homology without any FatGraph method: it traces
+# the faces of the standard rotation itself and solves for integer face
+# potentials, where the cycle ``z`` bounds exactly when some ``x`` has
+# ``z_e = x(face of a_e) - x(face of b_e)`` on every edge ``(a_e, b_e)``,
+# ``a_e < b_e``.  Potentials are propagated over a spanning forest of the
+# dual graph and then checked on every edge.
+
+
+def _reference_faces(degrees, matching):
+    vertex, nxt = [], []
+    base = 0
+    for v, deg in enumerate(degrees):
+        vertex.extend([v] * deg)
+        nxt.extend(base + (k + 1) % deg for k in range(deg))
+        base += deg
+    face_of = [-1] * len(matching)
+    count = 0
+    for start in range(len(matching)):
+        if face_of[start] >= 0:
+            continue
+        d = start
+        while face_of[d] < 0:
+            face_of[d] = count
+            d = nxt[matching[d]]
+        count += 1
+    return vertex, face_of, count
+
+
+def _reference_bounds(edges, face_of, num_faces, z):
+    links = [[] for _ in range(num_faces)]
+    for (a, b), ze in zip(edges, z):
+        links[face_of[a]].append((face_of[b], -ze))
+        links[face_of[b]].append((face_of[a], ze))
+    x = [None] * num_faces
+    for root in range(num_faces):
+        if x[root] is not None:
+            continue
+        x[root] = 0
+        stack = [root]
+        while stack:
+            f = stack.pop()
+            for g, step in links[f]:
+                if x[g] is None:
+                    x[g] = x[f] + step
+                    stack.append(g)
+    return all(ze == x[face_of[a]] - x[face_of[b]] for (a, b), ze in zip(edges, z))
+
+
+def reference_filter(degrees, matching):
+    """``(parallel edge pairs, trivial loops)`` by face potentials."""
+    vertex, face_of, num_faces = _reference_faces(degrees, matching)
+    edges = [(a, b) for a, b in enumerate(matching) if a < b]
+    ends = [(vertex[a], vertex[b]) for a, b in edges]
+
+    def bounds(coeffs):
+        z = [0] * len(edges)
+        for e, c in coeffs:
+            z[e] += c
+        return _reference_bounds(edges, face_of, num_faces, z)
+
+    pairs = []
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            if ends[i] == ends[j]:
+                signs = (1, -1) if ends[i][0] == ends[i][1] else (1,)
+            elif ends[i] == ends[j][::-1]:
+                signs = (-1,)
+            else:
+                continue
+            if any(bounds([(i, 1), (j, -sign)]) for sign in signs):
+                pairs.append((i, j))
+    loops = [e for e, (u, v) in enumerate(ends) if u == v and bounds([(e, 1)])]
+    return tuple(pairs), tuple(loops)
+
+
+def _assert_filter_matches_reference(g):
+    want = reference_filter(g.degrees, g.matching)
+    assert (g.parallel_edge_pairs(), g.trivial_loops()) == want, g
+    return want
+
+
+def test_filter_matches_face_potentials_on_random_graphs():
+    rng = random.Random(20061)
+    checked = nonempty_pairs = nonempty_loops = 0
+    while checked < 2000:
+        g = random_fat_graph(rng)
+        if not g.is_connected():
+            continue
+        pairs, loops = _assert_filter_matches_reference(g)
+        checked += 1
+        nonempty_pairs += bool(pairs)
+        nonempty_loops += bool(loops)
+    assert nonempty_pairs > 100 and nonempty_loops > 100
+
+
+def test_filter_matches_face_potentials_on_sweep_candidates():
+    # every candidate the search yields for nv = 1..3 up to 7 edges, the
+    # sweep before its filter, and each with every edge doubled, which makes
+    # bigon bands of parallel edges
+    candidates = rejected = 0
+    for nv in (1, 2, 3):
+        for ne in range(nv + 1, 8):
+            for seq in degree_sequences(nv, ne):
+                for matching in kernel.search_matchings(seq).values():
+                    g = FatGraph(seq, matching)
+                    pairs, loops = _assert_filter_matches_reference(g)
+                    rejected += bool(pairs or loops)
+                    doubled, _ = g.expand_edges(2)
+                    pairs, _ = _assert_filter_matches_reference(doubled)
+                    assert len(pairs) >= g.num_edges
+                    candidates += 1
+    assert candidates > 181 and rejected == candidates - 181
+
+
+def test_face_basis_is_built_once_per_graph(monkeypatch):
+    built = []
+    face_boundaries = FatGraph._face_boundaries
+
+    def counted(self):
+        built.append(self)
+        return face_boundaries(self)
+
+    monkeypatch.setattr(FatGraph, "_face_boundaries", counted)
+    # three loops at one vertex: both filters test cycles
+    g = FatGraph.from_vertex_cycles([["a", "b", "c", "a", "b", "c"]])
+    first = (g.parallel_edge_pairs(), g.trivial_loops())
+    assert built == [g]
+    # a fresh graph with the same matching builds its own basis
+    h = FatGraph(g.degrees, g.matching)
+    assert (h.parallel_edge_pairs(), h.trivial_loops()) == first
+    assert len(built) == 2 and built[1] is h
 
 
 def test_amalgamate_parallel_loop_chain():
