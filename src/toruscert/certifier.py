@@ -14,10 +14,10 @@ instead, by degree-capacity inequalities.
 
 Decoration is staged by what the offsets leave unchanged.  A :class:`Frame`
 is built once per class and parity vector, before the offsets vary.  It
-holds every edge's sign, the ``t`` possible families of every edge indexed
-by shift, and the derived views the rules read (vertex types, sign
-patterns, loops, opposite-parity pair covers), which depend on the signs and
-loops alone.  A configuration is only its frame and its offsets:
+holds its graph, every edge's ends, sign and the offset-free part of its
+shift, and the derived views the rules read (vertex types, sign patterns,
+loops, opposite-parity pair covers), which are computed from those edges
+alone.  A configuration is only its frame and its offsets:
 :func:`make_config` pairs them, and the families are derived when they are
 read.  Each rule declares whether it reads the ``frame`` alone or the
 ``offsets`` too, and the offset rules compute only the shifts they read.
@@ -81,32 +81,11 @@ class Config(NamedTuple):
     """A decorated candidate: a :class:`Frame` (graph class + vertex
     parities) and a tuple of label offsets, one per vertex.
 
-    Everything else reads through to the frame, and ``families`` is derived
-    from the frame's edges on every read.
+    ``families`` is derived from the frame's edges on every read.
     """
 
     frame: Frame
     offsets: tuple
-
-    @property
-    def degrees(self):
-        return self.frame.degrees
-
-    @property
-    def matching(self):
-        return self.frame.matching
-
-    @property
-    def graph_key(self):
-        return self.frame.graph_key
-
-    @property
-    def parities(self):
-        return self.frame.parities
-
-    @property
-    def t(self):
-        return self.frame.t
 
     @property
     def families(self):
@@ -115,9 +94,10 @@ class Config(NamedTuple):
         return frame.families_at(offsets)
 
     def describe(self):
+        frame = self.frame
         return {
-            "graph": self.graph_key.hex(),
-            "parities": list(self.parities),
+            "graph": frame.graph_key.hex(),
+            "parities": list(frame.parities),
             "offsets": list(self.offsets),
             "families": [
                 {
@@ -139,26 +119,24 @@ _record = tuple.__new__
 class Frame:
     """What every configuration of one class and parity vector shares.
 
-    ``edges`` holds each edge's ``(u, v, sign, c)``, where ``c = -p_v`` is the
-    offset-free part of its shift; :meth:`families_at` builds the families
-    from them.  ``positive`` holds ``(i, u, v, c)`` for each positive edge
-    ``i`` and ``negative`` holds ``(u, v, c)`` for each negative one, so a
-    rule can compute a shift without building the family.  ``families`` are
-    those at offsets zero.  The views read only the ends, signs and loop
-    flags of the families, which no offset changes, so they are computed
-    here once, on the frame itself.
+    ``edges`` holds each edge of ``graph`` as ``(u, v, sign, c)``, where
+    ``c = -p_v`` is the offset-free part of its shift; :meth:`families_at`
+    builds the families from them.  ``positive`` holds ``(i, u, v, c)`` for
+    each positive edge ``i`` and ``negative`` holds ``(u, v, c)`` for each
+    negative one, so a rule can compute a shift without building the family.
+    The views read only the graph and the ends and signs of the edges, which
+    no offset changes, so they are computed here once, on the frame itself.
     """
 
     __slots__ = (
-        "degrees", "matching", "graph_key", "parities", "t", "edges", "families",
+        "graph", "graph_key", "parities", "t", "edges",
         "all_positive", "positive", "negative", "types",
         "mixed_types", "patterns", "mixed_patterns", "loops", "loop_counts",
         "pair_cover", "exact_pair_cover",
     )
 
     def __init__(self, graph: FatGraph, key: bytes, parities, t):
-        self.degrees = graph.degrees
-        self.matching = graph.matching
+        self.graph = graph
         self.graph_key = key
         self.parities = parities = tuple(parities)
         self.t = t
@@ -167,7 +145,6 @@ class Frame:
             sign = parities[u] * parities[v]
             edges.append((u, v, sign, -parities[v]))
         self.edges = edges = tuple(edges)
-        self.families = self.families_at((0,) * len(parities))
         self.positive = tuple(
             (i, u, v, c) for i, (u, v, sign, c) in enumerate(edges) if sign == 1
         )
@@ -179,8 +156,8 @@ class Frame:
         self.mixed_patterns = len(set(self.patterns)) > 1
         self.loops = frozenset(loop_vertices(self))
         self.loop_counts = tuple(loops_per_vertex(self))
-        self.pair_cover = opposite_pair_cover(self, multiplicity=2)
-        self.exact_pair_cover = opposite_pair_cover(self, multiplicity=2, exact=True)
+        self.pair_cover = opposite_pair_cover(self)
+        self.exact_pair_cover = opposite_pair_cover(self, exact=True)
 
     def families_at(self, offsets):
         """Every edge's family at ``offsets``: edge ``i`` from ``u`` to ``v``
@@ -214,22 +191,21 @@ def iter_configs(cls, t):
 
 
 # derived views ---------------------------------------------------------------
-# Each takes a configuration or a frame; Frame computes them once per parity
-# vector, except partner_has_loops, which reads the shifts.
+# Each offset-free view takes a frame and reads only its graph, parities and
+# edges; Frame computes them once per parity vector.  partner_has_loops reads
+# the shifts, so it takes a configuration.
 
 
-def vertex_types(config: Config):
-    """Per-vertex counts of positive and negative local reduced edges."""
-    s = len(config.parities)
+def vertex_types(frame: Frame):
+    """Per-vertex counts of positive and negative local reduced edges; a loop
+    counts at both of its ends."""
+    s = len(frame.parities)
     pos = [0] * s
     neg = [0] * s
-    for f in config.families:
-        tally = pos if f.sign == 1 else neg
-        if f.is_loop:
-            tally[f.u] += 2
-        else:
-            tally[f.u] += 1
-            tally[f.v] += 1
+    for u, v, sign, _ in frame.edges:
+        tally = pos if sign == 1 else neg
+        tally[u] += 1
+        tally[v] += 1
     return tuple(zip(pos, neg))
 
 
@@ -242,38 +218,28 @@ def _canonical_cycle(seq):
     return min(cands)
 
 
-@functools.lru_cache(maxsize=64)
-def _edges_around_vertices(degrees, matching):
-    """Per vertex, the edge indices of its darts in rotation order; one
-    build per graph, as every configuration of a class shares it."""
-    edge_of = FatGraph(degrees, matching, check=False).edge_index_of_dart()
+def sign_patterns(frame: Frame):
+    """Canonical cyclic sign pattern of the reduced local edges per vertex."""
+    graph, edges = frame.graph, frame.edges
+    edge_of = graph.edge_index_of_dart()
     out = []
     base = 0
-    for deg in degrees:
-        out.append(tuple(edge_of[base:base + deg]))
+    for deg in graph.degrees:
+        signs = tuple(edges[i][2] for i in edge_of[base:base + deg])
+        out.append(_canonical_cycle(signs))
         base += deg
     return tuple(out)
 
 
-def sign_patterns(config: Config):
-    """Canonical cyclic sign pattern of the reduced local edges per vertex."""
-    families = config.families
-    return tuple(
-        _canonical_cycle(tuple(families[i].sign for i in edges))
-        for edges in _edges_around_vertices(config.degrees, config.matching)
-    )
+def loop_vertices(frame: Frame):
+    return {u for u, v, _, _ in frame.edges if u == v}
 
 
-def loop_vertices(config: Config):
-    return {f.u for f in config.families if f.is_loop}
-
-
-def loops_per_vertex(config: Config):
-    s = len(config.parities)
-    counts = [0] * s
-    for f in config.families:
-        if f.is_loop:
-            counts[f.u] += 1
+def loops_per_vertex(frame: Frame):
+    counts = [0] * len(frame.parities)
+    for u, v, _, _ in frame.edges:
+        if u == v:
+            counts[u] += 1
     return counts
 
 
@@ -287,23 +253,24 @@ def partner_has_loops(config: Config):
     return any((offsets[v] + c - offsets[u]) % t == 0 for u, v, c in frame.negative)
 
 
-def opposite_pair_cover(config: Config, multiplicity=2, exact=False):
+def opposite_pair_cover(frame: Frame, exact=False):
     """A perfect matching of the vertices into opposite-parity pairs joined
-    by at least (or exactly) ``multiplicity`` non-loop edges, if one exists."""
-    s = len(config.parities)
+    by at least (or exactly) two non-loop edges, if one exists."""
+    parities = frame.parities
+    s = len(parities)
     if s % 2:
         return None
     edge_count = {}
-    for f in config.families:
-        if not f.is_loop:
-            key = (min(f.u, f.v), max(f.u, f.v))
+    for u, v, _, _ in frame.edges:
+        if u != v:
+            key = (min(u, v), max(u, v))
             edge_count[key] = edge_count.get(key, 0) + 1
 
     def ok(a, b):
-        if config.parities[a] == config.parities[b]:
+        if parities[a] == parities[b]:
             return False
         c = edge_count.get((min(a, b), max(a, b)), 0)
-        return c == multiplicity if exact else c >= multiplicity
+        return c == 2 if exact else c >= 2
 
     def match(rest):
         if not rest:
@@ -590,7 +557,7 @@ def _r_connector_equals_loop(config, env):
 
 def _r_connector_identity(config, env):
     _, conn = _connector_split(config)
-    if conn.induces_identity(config.t):
+    if conn.induces_identity(config.frame.t):
         return {
             "reason": "identity connector makes the partner orbit subgraph a"
             " union of loop-plus-2-cycle components, against the jumping-number"
@@ -852,7 +819,6 @@ def certify_case(params: CaseParams, *, mode="auto", workers=1, rule_limit=None)
             " select a subcase of this certificate"
         )
     log = []
-    forcing = distance_forcing(t, params.delta)
     if params.delta > 6:
         # the forcing pins the distance to exactly six, so higher distances
         # admit no configuration at all
@@ -993,26 +959,16 @@ def derive_delta_bound(params: CaseParams):
             log.append(_log_entry("parity-rule", _PARITY_IMPOSSIBLE_ANCHOR, 1, 1))
             bounds.append(0)
             continue
-        if ps == POLARIZED:
-            # count on the partner side: delta * s <= 4 * (s + 1)
-            bound = (4 * (s + 1)) // s
+        if POLARIZED in (ps, pt):
+            # count on the partner side: delta * n <= 4 * (n + 1), where n
+            # is the polarized side's count
+            n = s if ps == POLARIZED else t
+            bound = (4 * (n + 1)) // n
             log.append(
                 _log_entry(
                     "polarized-side-count",
                     _POLARIZED_COUNT_ANCHOR
-                    + f"; here {s}*distance <= 4*{s + 1}",
-                    1,
-                    0,
-                )
-            )
-            bounds.append(bound)
-        elif pt == POLARIZED:
-            bound = (4 * (t + 1)) // t
-            log.append(
-                _log_entry(
-                    "polarized-side-count",
-                    _POLARIZED_COUNT_ANCHOR
-                    + f"; here {t}*distance <= 4*{t + 1}",
+                    + f"; here {n}*distance <= 4*{n + 1}",
                     1,
                     0,
                 )

@@ -27,23 +27,23 @@ class FatGraph:
 
     __slots__ = (
         "degrees", "matching", "_vert", "_rho", "_rho_inv", "_faces", "_ends",
-        "_basis",
+        "_edge_of", "_basis",
     )
 
-    def __init__(self, degrees, matching, check=True):
+    def __init__(self, degrees, matching):
         self.degrees = tuple(degrees)
         self.matching = tuple(matching)
         self._vert, self._rho, self._rho_inv = kernel.standard_rotation(self.degrees)
         self._faces = None
         self._ends = None
+        self._edge_of = None
         self._basis = None
-        if check:
-            n = sum(self.degrees)
-            if len(self.matching) != n:
-                raise ValueError("matching length must equal the number of darts")
-            for a, b in enumerate(self.matching):
-                if not 0 <= b < n or b == a or self.matching[b] != a:
-                    raise ValueError("matching must be a fixed-point-free involution")
+        n = sum(self.degrees)
+        if len(self.matching) != n:
+            raise ValueError("matching length must equal the number of darts")
+        for a, b in enumerate(self.matching):
+            if not 0 <= b < n or b == a or self.matching[b] != a:
+                raise ValueError("matching must be a fixed-point-free involution")
 
     @classmethod
     def from_vertex_cycles(cls, cycles):
@@ -99,14 +99,16 @@ class FatGraph:
         )
 
     def edge_index_of_dart(self):
-        """Map dart -> edge index, edges ordered as in :meth:`edge_darts`."""
-        idx = {}
-        out = [0] * self.num_darts
-        for i, (a, b) in enumerate(self.edge_darts()):
-            idx[a] = idx[b] = i
-        for d in range(self.num_darts):
-            out[d] = idx[d]
-        return out
+        """Map dart -> edge index, edges ordered as in :meth:`edge_darts`.
+
+        Computed once per graph and cached.
+        """
+        if self._edge_of is None:
+            out = [0] * self.num_darts
+            for i, (a, b) in enumerate(self.edge_darts()):
+                out[a] = out[b] = i
+            self._edge_of = tuple(out)
+        return self._edge_of
 
     def edge_ends(self):
         """Vertex pairs ``(u, v)`` of the edges, in :meth:`edge_darts` order.
@@ -126,9 +128,6 @@ class FatGraph:
         return tuple(
             i for i, (u, v) in enumerate(self.edge_ends()) if u == v == vertex
         )
-
-    def endpoints(self, edge_index):
-        return self.edge_ends()[edge_index]
 
     # -- faces and the derived surface ------------------------------------
 

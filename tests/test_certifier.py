@@ -15,12 +15,7 @@ from toruscert.certifier import (
     derive_delta_bound,
     distance_forcing,
     iter_configs,
-    loop_vertices,
-    loops_per_vertex,
     make_config,
-    opposite_pair_cover,
-    sign_patterns,
-    vertex_types,
 )
 from toruscert.embedded import expand_decorated, reduce_graph
 from toruscert.enumeration import enumerate_reduced_torus_graphs
@@ -269,30 +264,87 @@ def test_enumeration_survivors_never_exceed_counting_bounds():
         assert cert.delta_bound <= 8
 
 
-@pytest.mark.parametrize("s,t", [(1, 3), (2, 4), (3, 4), (4, 4)])
-def test_frames_agree_with_views_and_closed_form(s, t):
-    # every stored view equals the view computed on the configuration, and
-    # every looked-up family equals its closed form; at s = 2 the two pair
-    # covers differ, as four edges join the two vertices
-    for cls in enumerate_reduced_torus_graphs(s, degrees=(6,) * s):
+def _perfect_matchings(rest):
+    if not rest:
+        yield ()
+        return
+    a = rest[0]
+    for b in rest[1:]:
+        for sub in _perfect_matchings([x for x in rest if x not in (a, b)]):
+            yield ((a, b),) + sub
+
+
+def reference_views(config, cls):
+    """The offset-free views of one configuration, read from its families
+    and, for the sign patterns, from the rotation system of its class, as
+    ``(types, patterns, loops, loop_counts, pair_cover, exact_pair_cover)``."""
+    families = config.families
+    parities = config.frame.parities
+    s = len(parities)
+    pos, neg, loop_counts = [0] * s, [0] * s, [0] * s
+    joins = Counter()
+    for f in families:
+        tally = pos if f.sign == 1 else neg
+        if f.is_loop:
+            tally[f.u] += 2
+            loop_counts[f.u] += 1
+        else:
+            tally[f.u] += 1
+            tally[f.v] += 1
+            joins[frozenset((f.u, f.v))] += 1
+    # dart d lies on the edge numbered by the rank of its lower dart
+    matching = cls.matching
+    lower = [d for d, e in enumerate(matching) if d < e]
+    edge_of = [lower.index(min(d, e)) for d, e in enumerate(matching)]
+    patterns = []
+    start = 0
+    for deg in cls.degrees:
+        seq = [families[edge_of[d]].sign for d in range(start, start + deg)]
+        patterns.append(min(
+            tuple(base[i:] + base[:i]) for base in (seq, seq[::-1]) for i in range(deg)
+        ))
+        start += deg
+
+    def cover(ok):
+        # the least perfect matching into opposite-parity pairs passing ok
+        if s % 2:
+            return None
+        found = [
+            pairs for pairs in _perfect_matchings(list(range(s)))
+            if all(parities[a] != parities[b] and ok(joins[frozenset((a, b))])
+                   for a, b in pairs)
+        ]
+        return min(found, default=None)
+
+    return (
+        tuple(zip(pos, neg)),
+        tuple(patterns),
+        {f.u for f in families if f.is_loop},
+        tuple(loop_counts),
+        cover(lambda c: c >= 2),
+        cover(lambda c: c == 2),
+    )
+
+
+def _assert_frames_agree(classes, t):
+    # every stored view equals the reference read from the configuration's
+    # families, and every family equals its closed form
+    for cls in classes:
+        s = len(cls.degrees)
         ends = cls.graph().edge_ends()
         seen = 0
         for config in iter_configs(cls, t):
             seen += 1
             frame = config.frame
-            assert frame.types == vertex_types(config)
-            assert frame.patterns == sign_patterns(config)
-            assert frame.loops == loop_vertices(config)
-            assert list(frame.loop_counts) == loops_per_vertex(config)
-            assert frame.pair_cover == opposite_pair_cover(config, multiplicity=2)
-            assert frame.exact_pair_cover == opposite_pair_cover(
-                config, multiplicity=2, exact=True
-            )
+            assert (
+                frame.types, frame.patterns, frame.loops, frame.loop_counts,
+                frame.pair_cover, frame.exact_pair_cover,
+            ) == reference_views(config, cls)
             signs = [f.sign for f in config.families]
             assert frame.all_positive == all(x == 1 for x in signs)
             assert frame.mixed_types == (len(set(frame.types)) > 1)
             assert frame.mixed_patterns == (len(set(frame.patterns)) > 1)
-            p, o = config.parities, config.offsets
+            p, o = frame.parities, config.offsets
             assert frame.positive == tuple(
                 (i, u, v, -p[v]) for i, (u, v) in enumerate(ends) if signs[i] == 1
             )
@@ -305,6 +357,19 @@ def test_frames_agree_with_views_and_closed_form(s, t):
             )
             assert config.families == want
         assert seen == 2 ** (s - 1) * t ** (s - 1)
+
+
+@pytest.mark.parametrize("s,t", [(1, 3), (2, 4), (3, 4), (4, 4)])
+def test_frames_agree_with_views_and_closed_form(s, t):
+    # at s = 2 the two pair covers differ, as four edges join the two vertices
+    _assert_frames_agree(enumerate_reduced_torus_graphs(s, degrees=(6,) * s), t)
+
+
+def test_frames_agree_on_sparse_graphs():
+    # at degree 6 and s = 4, two distinct vertices are joined by two edges or
+    # none, so the pair cover reads the same at "at least one"; every graph
+    # with four vertices and five edges joins some pair by one edge
+    _assert_frames_agree(enumerate_reduced_torus_graphs(4, max_edges=5), 3)
 
 
 def test_positive_identity_closed_form():
@@ -323,14 +388,9 @@ class EagerConfig(NamedTuple):
     """The configuration record with every family looked up when it is made,
     as :func:`eager_make_config` builds it."""
 
-    degrees: tuple
-    matching: tuple
-    graph_key: bytes
-    parities: tuple
-    offsets: tuple
-    t: int
-    families: tuple
     frame: Frame
+    offsets: tuple
+    families: tuple
 
     describe = certifier.Config.describe
 
@@ -341,10 +401,7 @@ def eager_make_config(frame, offsets):
         certifier.Family(i, u, v, p[u] * p[v], (o[v] - p[v] + p[u] * p[v] * o[u]) % t, u == v)
         for i, (u, v, _, _) in enumerate(frame.edges)
     )
-    return EagerConfig(
-        frame.degrees, frame.matching, frame.graph_key, frame.parities,
-        tuple(offsets), t, families, frame,
-    )
+    return EagerConfig(frame, tuple(offsets), families)
 
 
 def _has_fixed_point(f, t):
@@ -355,18 +412,18 @@ def _has_fixed_point(f, t):
 def eager_positive_fixed_point(config, env):
     # the rule read from the families
     for f in config.families:
-        if f.sign == 1 and _has_fixed_point(f, config.t):
+        if f.sign == 1 and _has_fixed_point(f, config.frame.t):
             return {
                 "family": f.index,
                 "shift": f.shift,
-                "partner_count": config.t,
+                "partner_count": config.frame.t,
                 "reason": "positive family induces an involution with a fixed point",
             }
     return None
 
 
 def eager_partner_has_loops(config):
-    return any(f.sign == -1 and _has_fixed_point(f, config.t) for f in config.families)
+    return any(f.sign == -1 and _has_fixed_point(f, config.frame.t) for f in config.families)
 
 
 def _case_env(s, t, classes):
@@ -400,8 +457,6 @@ def test_decoration_on_demand_matches_eager_reference(monkeypatch, s, t):
     for config, ref in zip(configs, eager):
         assert config.families == ref.families
         assert config.describe() == ref.describe()
-        assert (config.degrees, config.matching, config.graph_key) == ref[:3]
-        assert (config.parities, config.t) == (ref.parities, ref.t)
     reference = {certifier._r_positive_fixed_point: eager_positive_fixed_point}
     monkeypatch.setattr(certifier, "partner_has_loops", eager_partner_has_loops)
     want = [

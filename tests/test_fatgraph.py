@@ -1,6 +1,7 @@
 """Rotation-system core: faces, Euler counts, reduction, canonical keys."""
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -200,6 +201,35 @@ def test_face_basis_is_built_once_per_graph(monkeypatch):
     h = FatGraph(g.degrees, g.matching)
     assert (h.parallel_edge_pairs(), h.trivial_loops()) == first
     assert len(built) == 2 and built[1] is h
+
+
+def test_matching_is_validated_and_dart_map_built_once(monkeypatch):
+    for degrees, matching in [
+        ((2,), (1, 0, 3, 2)),  # longer than the number of darts
+        ((2,), (0, 1)),  # fixed point
+        ((2,), (1, 2)),  # partner out of range
+        ((2, 2), (1, 2, 3, 0)),  # not an involution
+    ]:
+        with pytest.raises(ValueError):
+            FatGraph(degrees, matching)
+
+    calls = []
+    edge_darts = FatGraph.edge_darts
+
+    def counted(self):
+        calls.append(self)
+        return edge_darts(self)
+
+    monkeypatch.setattr(FatGraph, "edge_darts", counted)
+    rng = random.Random(11)
+    for _ in range(50):
+        g = random_fat_graph(rng)
+        calls.clear()
+        edge_of = g.edge_index_of_dart()
+        assert g.edge_index_of_dart() is edge_of and len(calls) == 1
+        for i, (a, b) in enumerate(edge_darts(g)):
+            assert edge_of[a] == edge_of[b] == i
+        assert len(edge_of) == g.num_darts
 
 
 def test_amalgamate_parallel_loop_chain():

@@ -25,7 +25,10 @@ from toruscert.params import NEUTRAL, POLARIZED, CaseParams
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = [(3, 3), (3, 4), (3, 5), (3, 6), (4, 4), (4, 6), (1, 3), (2, 4), (2, 6)]
-COUNTING_CASES = [(2, 2, POLARIZED, None), (2, 2, NEUTRAL, NEUTRAL), (1, 2, None, None)]
+# (s, t, s_polarity, t_polarity); (2, 1) is the one whose polarized side is t
+COUNTING_CASES = [
+    (2, 2, POLARIZED, None), (2, 2, NEUTRAL, NEUTRAL), (1, 2, None, None), (2, 1, None, None),
+]
 # (s, t, rule_limit)
 TRUNCATED_CASES = [(3, 4, 2)]
 KERNEL_GOLDEN = GOLDEN / "kernel_classes.json"
