@@ -233,7 +233,9 @@ def perm(n_, alpha, epsilon):
 
 @cli.command()
 @click.option("--m", "m_", type=int, default=None, help="gluing parameter")
-@click.option("--scan", type=int, default=None, help="scan 0..MAX and tabulate")
+@click.option(
+    "--scan", type=click.IntRange(min=0), default=None, help="scan 0..MAX and tabulate"
+)
 def klein(m_, scan):
     """Solve the punctured Klein bottle slope classification."""
     if (m_ is None) == (scan is None):

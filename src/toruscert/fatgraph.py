@@ -7,17 +7,17 @@ relabelled into this form, see :mod:`toruscert.kernel`).  Faces are orbits
 of ``d -> rho[M[d]]``, and the derived closed orientable surface has Euler
 characteristic ``V - E + F``.
 
-Homology of edge cycles is decided against the span of the face boundaries.
-Each graph row-reduces that span once, in exact rational arithmetic, the
-first time a cycle is tested, and keeps the basis with its pivot columns on
-the instance, beside the cached faces.  Every later test, such as the
-candidate pairs of :meth:`FatGraph.parallel_edge_pairs` and the loops of
-:meth:`FatGraph.trivial_loops`, reduces only its own cycle against it.
+Homology of edge cycles is decided with integers.  Each graph gives every
+edge one integer homology class, by a tree-cotree split, the first time a
+cycle is tested, and keeps the classes on the instance, beside the cached
+faces.  A cycle bounds exactly when its classes sum to zero, so the
+candidate pairs of :meth:`FatGraph.parallel_edge_pairs` compare two classes
+up to sign and the loops of :meth:`FatGraph.trivial_loops` test one class
+against zero.
 """
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from toruscert import kernel
 
@@ -27,7 +27,7 @@ class FatGraph:
 
     __slots__ = (
         "degrees", "matching", "_vert", "_rho", "_rho_inv", "_faces", "_ends",
-        "_edge_of", "_basis",
+        "_edge_of", "_classes",
     )
 
     def __init__(self, degrees, matching):
@@ -37,7 +37,7 @@ class FatGraph:
         self._faces = None
         self._ends = None
         self._edge_of = None
-        self._basis = None
+        self._classes = None
         n = sum(self.degrees)
         if len(self.matching) != n:
             raise ValueError("matching length must equal the number of darts")
@@ -188,105 +188,100 @@ class FatGraph:
 
     # -- homology of edge cycles ------------------------------------------
 
-    def _face_boundaries(self):
-        """Integer boundary vectors of the faces in the edge basis."""
-        edge_of = self.edge_index_of_dart()
-        first_dart = {}
-        for i, (a, b) in enumerate(self.edge_darts()):
-            first_dart[i] = a
-        rows = []
-        for face in self.faces():
-            row = [0] * self.num_edges
-            for d in face:
-                e = edge_of[d]
-                row[e] += 1 if d == first_dart[e] else -1
-            rows.append(row)
-        return rows
+    def _edge_classes(self):
+        """One integer homology class per edge, a tuple of coordinates.
 
-    def _face_basis(self):
-        """The face boundaries row-reduced once: ``(pivot column, row)`` pairs.
-
-        Each row is a face boundary with the pivots of the earlier rows
-        eliminated, in exact rational arithmetic, and its pivot is its first
-        nonzero column.  Faces whose boundary is already spanned add no row.
-        Computed once per graph and cached.
+        Edges are oriented from their lower dart.  A tree-cotree split picks
+        the coordinates: ``T`` is a spanning forest of the graph, ``T*`` a
+        spanning forest of the dual among the other edges, and the edges in
+        neither are the generators, ``2 - chi`` of them on each component.
+        A ``T`` edge has class 0 and a generator a unit vector.  Every face
+        boundary sums to zero, so a leaf face of ``T*`` fixes the class of
+        its one unsolved ``T*`` edge, and peeling leaves solves them all; the
+        root face of each dual tree holds too, since the faces of a
+        component sum to zero.  An integer cycle bounds in the derived
+        surface exactly when its classes sum to zero.  Computed once per
+        graph and cached.
         """
-        if self._basis is None:
-            ncols = self.num_edges
-            basis = []
-            for face_row in self._face_boundaries():
-                row = [Fraction(x) for x in face_row]
-                for pcol, prow in basis:
-                    if row[pcol]:
-                        f = row[pcol] / prow[pcol]
-                        row = [x - f * y for x, y in zip(row, prow)]
-                for c in range(ncols):
-                    if row[c]:
-                        basis.append((c, tuple(row)))
-                        break
-            self._basis = tuple(basis)
-        return self._basis
-
-    def cycle_is_null_homologous(self, cycle_vector):
-        """Whether an integer edge cycle bounds in the derived surface.
-
-        ``cycle_vector`` is a coefficient list over the edges (oriented from
-        their lower dart), and the cycle must be closed.  It bounds exactly
-        when it lies in the span of the face boundaries.  The graph's
-        row-reduced face basis (:meth:`_face_basis`) is built once and
-        cached, so each call only reduces ``cycle_vector`` against it, in
-        exact rational arithmetic.  Rational membership is equivalent to
-        integral membership here because the first homology of a closed
-        orientable surface is torsion free.
-        """
-        target = [Fraction(x) for x in cycle_vector]
-        for pcol, prow in self._face_basis():
-            if target[pcol]:
-                f = target[pcol] / prow[pcol]
-                target = [x - f * y for x, y in zip(target, prow)]
-        return not any(target)
+        if self._classes is None:
+            darts = self.edge_darts()
+            vert, faces = self._vert, self.faces()
+            face_of = [0] * self.num_darts
+            for f, face in enumerate(faces):
+                for d in face:
+                    face_of[d] = f
+            tree = _spanning_forest(
+                self.num_vertices,
+                [(e, vert[a], vert[b]) for e, (a, b) in enumerate(darts)],
+            )
+            cotree = _spanning_forest(
+                len(faces),
+                [(e, face_of[a], face_of[b])
+                 for e, (a, b) in enumerate(darts) if e not in tree],
+            )
+            generators = [
+                e for e in range(len(darts)) if e not in tree and e not in cotree
+            ]
+            zero = (0,) * len(generators)
+            classes = [zero] * len(darts)
+            for g, e in enumerate(generators):
+                classes[e] = zero[:g] + (1,) + zero[g + 1:]
+            unsolved = [[] for _ in faces]
+            for e in cotree:
+                a, b = darts[e]
+                unsolved[face_of[a]].append(e)
+                unsolved[face_of[b]].append(e)
+            edge_of, matching = self.edge_index_of_dart(), self.matching
+            leaves = [f for f, es in enumerate(unsolved) if len(es) == 1]
+            while leaves:
+                f = leaves.pop()
+                if len(unsolved[f]) != 1:
+                    continue
+                e = unsolved[f].pop()
+                total = [0] * len(zero)
+                for d in faces[f]:
+                    sign = 1 if d < matching[d] else -1
+                    if edge_of[d] == e:
+                        own = sign
+                    else:
+                        for c, y in enumerate(classes[edge_of[d]]):
+                            total[c] += sign * y
+                classes[e] = tuple(-own * y for y in total)
+                a, b = darts[e]
+                other = face_of[a] + face_of[b] - f
+                unsolved[other].remove(e)
+                if len(unsolved[other]) == 1:
+                    leaves.append(other)
+            self._classes = tuple(classes)
+        return self._classes
 
     def parallel_edge_pairs(self):
         """Pairs of distinct edges that are parallel in the derived surface.
 
         Two edges with the same endpoints are parallel when the closed curve
         formed by one followed by the reverse of the other bounds, i.e. the
-        cycle ``e - e'`` (with compatible orientations) is null homologous.
-        A loop has no preferred orientation, so two loops at one vertex are
-        parallel when ``e - e'`` or ``e + e'`` bounds.
+        cycle ``e - e'`` (with compatible orientations) is null homologous,
+        which holds exactly when their classes (:meth:`_edge_classes`) are
+        equal.  A loop has no preferred orientation, so two loops at one
+        vertex are parallel when ``e - e'`` or ``e + e'`` bounds.
         """
-        darts = self.edge_darts()
+        classes = self._edge_classes()
+        minus = [tuple(-y for y in c) for c in classes]
+        ends = self.edge_ends()
         out = []
-        for i in range(len(darts)):
-            for j in range(i + 1, len(darts)):
-                ai, bi = darts[i]
-                aj, bj = darts[j]
-                vi = (self._vert[ai], self._vert[bi])
-                vj = (self._vert[aj], self._vert[bj])
-                if vi == vj:
-                    signs = (1, -1) if vi[0] == vi[1] else (1,)
-                elif vi == (vj[1], vj[0]):
-                    signs = (-1,)
-                else:
-                    continue
-                for sign in signs:
-                    vec = [0] * self.num_edges
-                    vec[i] = 1
-                    vec[j] = -sign
-                    if self.cycle_is_null_homologous(vec):
+        for i, (u, v) in enumerate(ends):
+            for j in range(i + 1, len(ends)):
+                if ends[j] == (u, v):
+                    if classes[i] == classes[j] or (u == v and classes[i] == minus[j]):
                         out.append((i, j))
-                        break
+                elif ends[j] == (v, u) and classes[i] == minus[j]:
+                    out.append((i, j))
         return tuple(out)
 
     def trivial_loops(self):
-        """Loop edges that bound a disk in the derived surface."""
-        out = []
-        for i in self.loop_edges():
-            vec = [0] * self.num_edges
-            vec[i] = 1
-            if self.cycle_is_null_homologous(vec):
-                out.append(i)
-        return tuple(out)
+        """Loop edges that bound a disk in the derived surface: class 0."""
+        classes = self._edge_classes()
+        return tuple(i for i in self.loop_edges() if not any(classes[i]))
 
     def is_reduced(self):
         """No monogon or bigon faces, no parallel pair, no trivial loop."""
@@ -489,6 +484,26 @@ class FatGraph:
 
     def __repr__(self):
         return f"FatGraph(degrees={self.degrees}, matching={self.matching})"
+
+
+def _spanning_forest(size, links):
+    """Labels of the links ``(label, u, v)`` that a spanning forest on nodes
+    ``0 .. size-1`` takes, growing by each link in turn that joins two trees."""
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    taken = set()
+    for label, u, v in links:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            taken.add(label)
+    return taken
 
 
 def random_fat_graph(rng: random.Random, max_vertices=4, max_degree=8):

@@ -133,6 +133,8 @@ def test_klein_command(runner):
     assert res.exit_code == 0
     assert "m=3: none" in res.output
     assert main(["klein"]) == 64
+    # a negative scan bound used to print nothing and exit 0
+    assert main(["klein", "--scan", "-1"]) == 64
 
 
 def test_verify_all_fault_injection(tmp_path, monkeypatch):

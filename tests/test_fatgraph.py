@@ -1,11 +1,12 @@
 """Rotation-system core: faces, Euler counts, reduction, canonical keys."""
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toruscert import kernel
+from toruscert import fatgraph, kernel
 from toruscert.enumeration import degree_sequences
 from toruscert.fatgraph import FatGraph, random_fat_graph
 
@@ -153,16 +154,16 @@ def _assert_filter_matches_reference(g):
 
 def test_filter_matches_face_potentials_on_random_graphs():
     rng = random.Random(20061)
-    checked = nonempty_pairs = nonempty_loops = 0
-    while checked < 2000:
+    # disconnected graphs included: the reference roots one potential per
+    # dual component, and the classes grow one dual tree per component
+    disconnected = nonempty_pairs = nonempty_loops = 0
+    for _ in range(2000):
         g = random_fat_graph(rng)
-        if not g.is_connected():
-            continue
         pairs, loops = _assert_filter_matches_reference(g)
-        checked += 1
+        disconnected += not g.is_connected()
         nonempty_pairs += bool(pairs)
         nonempty_loops += bool(loops)
-    assert nonempty_pairs > 100 and nonempty_loops > 100
+    assert nonempty_pairs > 100 and nonempty_loops > 100 and disconnected > 50
 
 
 def test_filter_matches_face_potentials_on_sweep_candidates():
@@ -184,23 +185,83 @@ def test_filter_matches_face_potentials_on_sweep_candidates():
     assert candidates > 181 and rejected == candidates - 181
 
 
-def test_face_basis_is_built_once_per_graph(monkeypatch):
-    built = []
-    face_boundaries = FatGraph._face_boundaries
+def test_edge_classes_are_built_once_per_graph(monkeypatch):
+    forests = []
+    spanning_forest = fatgraph._spanning_forest
 
-    def counted(self):
-        built.append(self)
-        return face_boundaries(self)
+    def counted(size, links):
+        forests.append(size)
+        return spanning_forest(size, links)
 
-    monkeypatch.setattr(FatGraph, "_face_boundaries", counted)
-    # three loops at one vertex: both filters test cycles
+    monkeypatch.setattr(fatgraph, "_spanning_forest", counted)
+    # three loops at one vertex: both filters read the classes, and one
+    # build grows two forests, the tree and the dual tree
     g = FatGraph.from_vertex_cycles([["a", "b", "c", "a", "b", "c"]])
     first = (g.parallel_edge_pairs(), g.trivial_loops())
-    assert built == [g]
-    # a fresh graph with the same matching builds its own basis
+    assert forests == [1, 2]
+    assert g._edge_classes() is g._edge_classes()
+    assert len(forests) == 2
+    # a fresh graph with the same matching builds its own classes
     h = FatGraph(g.degrees, g.matching)
     assert (h.parallel_edge_pairs(), h.trivial_loops()) == first
-    assert len(built) == 2 and built[1] is h
+    assert len(forests) == 4
+    assert h._edge_classes() == g._edge_classes()
+
+
+def _disjoint_union(g, h):
+    shift = g.num_darts
+    return FatGraph(
+        g.degrees + h.degrees, g.matching + tuple(b + shift for b in h.matching)
+    )
+
+
+def _euler_characteristics(degrees, matching):
+    """``V - E + F`` of each component, by union-find on the vertices."""
+    vertex, face_of, _ = _reference_faces(degrees, matching)
+    parent = list(range(len(degrees)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in enumerate(matching):
+        parent[find(vertex[a])] = find(vertex[b])
+    chi = Counter(find(v) for v in range(len(degrees)))
+    for a, b in enumerate(matching):
+        if a < b:
+            chi[find(vertex[a])] -= 1
+    for d in {f: d for d, f in enumerate(face_of)}.values():
+        chi[find(vertex[d])] += 1
+    return list(chi.values())
+
+
+def test_edge_classes_count_the_genus_and_kill_every_face():
+    # any genus, with disjoint unions: there is one generator per dimension
+    # of the first homology, the sum of 2 - chi over the components, every
+    # unit vector is some edge's class, and every face boundary sums to zero
+    # under the classes; so the classes map the first homology onto Z^rank
+    rng = random.Random(1406)
+    disconnected = 0
+    for k in range(1500):
+        g = random_fat_graph(rng, max_vertices=4, max_degree=7)
+        if k % 3 == 0:
+            g = _disjoint_union(g, random_fat_graph(rng, max_vertices=3, max_degree=5))
+        disconnected += not g.is_connected()
+        rank = sum(2 - chi for chi in _euler_characteristics(g.degrees, g.matching))
+        classes = g._edge_classes()
+        assert all(len(c) == rank for c in classes), g
+        units = {tuple(int(c == i) for c in range(rank)) for i in range(rank)}
+        assert units <= set(classes), g
+        _, face_of, num_faces = _reference_faces(g.degrees, g.matching)
+        edges = [(a, b) for a, b in enumerate(g.matching) if a < b]
+        totals = [[0] * rank for _ in range(num_faces)]
+        for (a, b), cls in zip(edges, classes):
+            for c, y in enumerate(cls):
+                totals[face_of[a]][c] += y
+                totals[face_of[b]][c] -= y
+        assert not any(any(t) for t in totals), g
+    assert disconnected > 500
 
 
 def test_matching_is_validated_and_dart_map_built_once(monkeypatch):
