@@ -11,7 +11,7 @@ import sys
 
 import click
 
-from toruscert import fileformat, kernel
+from toruscert import fileformat
 from toruscert._version import ENGINE_NAME, ENGINE_VERSION
 from toruscert.certifier import CaseParams, certify_case, distance_forcing
 from toruscert.constraints import (
@@ -31,6 +31,7 @@ from toruscert.perms import InducedPermutation, orbit_count
 from toruscert import verify as verify_mod
 
 _POL = click.Choice(["polarized", "neutral"])
+_POSITIVE = click.IntRange(min=1)
 
 
 @click.group()
@@ -50,14 +51,11 @@ def cli():
 @click.option("--s-polarity", type=_POL, default=None)
 @click.option("--t-polarity", type=_POL, default=None)
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--timing", is_flag=True, help="include wall time in the JSON output")
-def certify(s_, t_, delta, mode, s_polarity, t_polarity, json_path, workers, timing):
+def certify(s_, t_, delta, mode, s_polarity, t_polarity, json_path, timing):
     """Certify one case: enumerate candidate configurations or count degrees."""
-    if workers < 1:
-        raise click.UsageError("--workers must be >= 1")
     params = CaseParams(s_, t_, delta, s_polarity, t_polarity)
-    cert = certify_case(params, mode=mode, workers=workers)
+    cert = certify_case(params, mode=mode)
     click.echo(f"case s={s_} t={t_} delta={delta} mode={cert.mode}")
     if cert.mode == "enumeration":
         click.echo(f"survivors: {cert.survivors}")
@@ -121,8 +119,8 @@ def lemma_no_double_parallel(pairs):
 
 
 @lemma.command("pos-size")
-@click.option("--t", "t_", type=int, required=True, help="partner boundary count")
-@click.option("--size", type=int, required=True)
+@click.option("--t", "t_", type=_POSITIVE, required=True, help="partner boundary count")
+@click.option("--size", type=_POSITIVE, required=True)
 @click.option("--alpha", type=int, default=None)
 def lemma_pos_size(t_, size, alpha):
     """Size cap for positive families with the structure forced at the cap."""
@@ -132,9 +130,9 @@ def lemma_pos_size(t_, size, alpha):
 
 
 @lemma.command("neg-size")
-@click.option("--t", "t_", type=int, required=True, help="partner boundary count")
-@click.option("--size", type=int, required=True)
-@click.option("--delta", type=int, default=None)
+@click.option("--t", "t_", type=_POSITIVE, required=True, help="partner boundary count")
+@click.option("--size", type=_POSITIVE, required=True)
+@click.option("--delta", type=_POSITIVE, default=None)
 @click.option("--exceptional/--no-exceptional", default=False,
               help="route oversized families to the exceptional classification")
 def lemma_neg_size(t_, size, delta, exceptional):
@@ -187,9 +185,9 @@ def lemma_degree_face(path, do_reduce):
 
 
 @lemma.command("distance-forcing")
-@click.option("--t", "t_", type=int, required=True)
-@click.option("--delta", type=int, required=True)
-@click.option("--negative-size", type=int, default=None)
+@click.option("--t", "t_", type=_POSITIVE, required=True)
+@click.option("--delta", type=_POSITIVE, required=True)
+@click.option("--negative-size", type=_POSITIVE, default=None)
 def lemma_distance_forcing(t_, delta, negative_size):
     """Distance forcing: degree 6 and full-size families, or the counting
     contradiction for an oversized hypothetical family."""
@@ -211,7 +209,7 @@ def lemma_distance_forcing(t_, delta, negative_size):
 
 
 @cli.command()
-@click.option("--n", "n_", type=click.IntRange(min=1), required=True, help="label modulus")
+@click.option("--n", "n_", type=_POSITIVE, required=True, help="label modulus")
 @click.option("--alpha", type=int, required=True)
 @click.option("--epsilon", type=int, required=True)
 def perm(n_, alpha, epsilon):
@@ -266,7 +264,7 @@ def klein(m_, scan):
 
 @cli.command("verify-all")
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=_POSITIVE, default=1, show_default=True)
 @click.option(
     "--fault-inject",
     type=click.Choice(["corrupt-klein"]),
@@ -275,9 +273,6 @@ def klein(m_, scan):
 )
 def verify_all(json_path, workers, fault_inject):
     """Run the whole acceptance suite, one pass/fail line per criterion."""
-    if workers < 1:
-        raise click.UsageError("--workers must be >= 1")
-    click.echo(f"backend: {kernel.BACKEND}")
     results = verify_mod.run_all(workers=workers, fault=fault_inject)
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -2,10 +2,10 @@
 
 The kernel enumerates dart matchings over standard rotations per degree
 sequence (see :mod:`toruscert.kernel`); this module drives it over degree
-sequences, applies the reducedness filters that need exact homology (no
-parallel pair, no trivial loop), deduplicates by canonical key and optionally
-partitions the search across worker processes.  A pruning-free brute-force
-generator doubles as the completeness oracle at small scale.
+sequences, one worker-pool task per sequence when there are several, and
+applies the reducedness filters that need exact homology (no parallel pair,
+no trivial loop).  A pruning-free brute-force generator doubles as the
+completeness oracle at small scale.
 """
 from __future__ import annotations
 
@@ -51,41 +51,28 @@ def degree_sequences(num_vertices, num_edges):
     return list(parts(total, num_vertices, total))
 
 
-def _search_task(args):
-    degrees, first = args
-    return kernel.search_matchings(degrees, first_partner=first)
+def _search(degrees):
+    """The classes of one degree sequence: canonical key -> least matching."""
+    return kernel.search_matchings(degrees)
 
 
-def _pooled_parts(seqs, workers):
-    """Search every ``(sequence, first partner)`` task of ``seqs`` through
-    one pool; returns each sequence's parts, or None to search in process."""
-    if workers <= 1 or not seqs:
-        return None
-    tasks = [(seq, b) for seq in seqs for b in range(1, sum(seq))]
-    # more processes than cores or tasks would only wait; the task partition,
-    # and so the result, does not depend on the pool size
-    size = min(workers, len(os.sched_getaffinity(0)), len(tasks))
+def _pool_task(degrees):
+    # the pool pickles its task by module and name; a tracer that wraps
+    # ``_search`` from outside puts a closure under that name, which does
+    # not pickle, so the pool maps this function instead
+    return _search(degrees)
+
+
+def _search_all(seqs, workers):
+    """The classes of each sequence of ``seqs``, in order: one pool task per
+    sequence, or all in this process when one process is enough."""
+    # more processes than cores or sequences would only wait
+    size = min(workers, len(os.sched_getaffinity(0)), len(seqs))
+    if size <= 1:
+        return [_search(seq) for seq in seqs]
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(size) as pool:
-        results = pool.map(_search_task, tasks)
-    parts = {seq: [] for seq in seqs}
-    for (seq, _), found in zip(tasks, results):
-        parts[seq].append(found)
-    return parts
-
-
-def _search(degrees, parts=None):
-    """The classes of one degree sequence by canonical key: its merged
-    first-partner ``parts``, or else one search in this process."""
-    if parts is None:
-        return kernel.search_matchings(degrees)
-    out = {}
-    for d in parts:
-        for key, matching in d.items():
-            prev = out.get(key)
-            if prev is None or matching < prev:
-                out[key] = matching
-    return out
+        return pool.map(_pool_task, seqs, chunksize=1)
 
 
 def enumerate_reduced_torus_graphs(
@@ -128,10 +115,8 @@ def enumerate_reduced_torus_graphs(
 
     # handshake parity: an odd degree sum admits no matching
     seqs = [seq for seq in sorted(seqs) if sum(seq) % 2 == 0]
-    parts = _pooled_parts(seqs, workers)
     classes = []
-    for seq in seqs:
-        found = _search(seq, None if parts is None else parts[seq])
+    for seq, found in zip(seqs, _search_all(seqs, workers)):
         for key in sorted(found):
             cls = GraphClass(degrees=seq, matching=found[key], key=key)
             g = cls.graph()

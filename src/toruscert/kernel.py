@@ -40,10 +40,9 @@ is one, before it branches on the lowest unmatched dart; the branch dies if
 the forced partner is ``x`` itself or already matched.  Only the two arcs a
 placement creates can extend a path to two arcs, so the candidates for the
 next forced pair are the darts at most two arcs after them; a path that
-grew before ``room`` reached 0 is left to plain branching.  No dart is
-forced at the root, so ``first_partner`` still fixes dart 0's partner.  The
-leaves are the same as without forcing: every complete all-triangle
-matching contains each forced pair of its partial matchings.
+grew before ``room`` reached 0 is left to plain branching.  The leaves are
+the same as without forcing: every complete all-triangle matching contains
+each forced pair of its partial matchings.
 
 Closed prefix.  When every dart of the vertices below the lowest unmatched
 dart is matched among those vertices, they form a closed component, every
@@ -99,9 +98,6 @@ Canonical keys.  A traversal is abandoned at the first byte of its code
 that exceeds the best code so far; ties reveal automorphisms whose orbits
 of start darts need no traversal (see :func:`canonical_code`).
 """
-
-# the kernel that produced a report; printed by ``verify-all`` and in its JSON
-BACKEND = "pure"
 
 # verdicts of a relabelling walk in search_matchings; a dart >= 0 is the
 # unmatched one the walk waits for
@@ -226,7 +222,7 @@ def canonical_code(degrees, matching):
     return best + best_rot
 
 
-def search_matchings(degrees, first_partner=-1):
+def search_matchings(degrees):
     """Enumerate dart matchings under face constraints; bucket by canonical key.
 
     Returns a dict mapping canonical code (bytes) to the lexicographically
@@ -238,9 +234,6 @@ def search_matchings(degrees, first_partner=-1):
     all have at least three sides are kept.  The defect budget ``3V - E``
     fixes how far the face sizes may exceed three in total: at ``E = 3V``
     every face is a triangle, and above it no matching survives.
-    ``first_partner >= 0`` forces the partner of dart 0, which partitions
-    the search space for parallel workers; the union of the results over
-    all legal first partners equals the unrestricted result.
     """
     degrees = tuple(degrees)
     n = sum(degrees)
@@ -248,8 +241,6 @@ def search_matchings(degrees, first_partner=-1):
         raise ValueError("total degree must be positive and even")
     if any(d < 1 for d in degrees):
         raise ValueError("vertex degrees must be >= 1")
-    if first_partner >= n:
-        raise ValueError("first_partner out of range")
     vert, rho, rho_inv = standard_rotation(degrees)
     nv = len(degrees)
     ne = n // 2
@@ -459,11 +450,7 @@ def search_matchings(degrees, first_partner=-1):
         if a == n:
             leaf(live)  # room >= 0 and closed_faces <= E - V force F = E - V
             return
-        if a == 0 and first_partner >= 0:
-            candidates = (first_partner,) if first_partner > 0 else ()
-        else:
-            candidates = range(a + 1, n)
-        for b in candidates:
+        for b in range(a + 1, n):
             if M[b] >= 0:
                 continue
             M[a] = b

@@ -15,7 +15,8 @@ Criteria (all exact, no tolerances):
 6. face and Euler invariants hold on 10,000 randomized rotation systems;
 7. the gluing matrix has determinant -1 and reverses intersection signs for
    all coefficients up to 10;
-8. certificates are byte-identical across worker counts 1, 2, 8.
+8. the sweep of three-vertex graphs to 7 edges gives identical classes at
+   worker counts 1, 2, 8.
 
 The suite runs once per module, and its report must match
 ``tests/golden/verify_report.json`` byte for byte.  A change that alters a

@@ -79,8 +79,9 @@ def test_lemma_no_double_parallel_exit_codes():
     assert main(["lemma", "no-double-parallel", "--pairs", "0:1 0:1"]) == 1
 
 
-def test_certify_workers_flag():
-    assert main(["certify", "--s", "3", "--t", "3", "--delta", "6", "--workers", "2"]) == 0
+def test_certify_has_no_workers_option():
+    # certify searches one degree sequence, which never uses a worker pool
+    assert main(["certify", "--s", "3", "--t", "3", "--delta", "6", "--workers", "2"]) == 64
 
 
 def test_lemma_sizes(runner):
@@ -93,6 +94,24 @@ def test_lemma_sizes(runner):
     assert "exceptional_route" in res.output
     res = runner.invoke(cli, ["lemma", "neg-size", "--t", "2", "--size", "3"])
     assert res.exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pos-size", "--t", "4", "--size", "-2"],
+        ["pos-size", "--t", "-4", "--size", "2"],
+        ["neg-size", "--t", "4", "--size", "-2"],
+        ["neg-size", "--t", "4", "--size", "0"],
+        ["neg-size", "--t", "4", "--size", "2", "--delta", "-1"],
+        ["distance-forcing", "--t", "5", "--delta", "6", "--negative-size", "-3"],
+        ["distance-forcing", "--t", "-4", "--delta", "6"],
+        ["distance-forcing", "--t", "5", "--delta", "-1"],
+    ],
+)
+def test_lemma_rejects_values_below_one(argv):
+    # each of these used to print a verdict and exit 0
+    assert main(["lemma", *argv]) == 64
 
 
 def test_lemma_with_graph_file(tmp_path, runner):
@@ -158,4 +177,3 @@ def test_verify_all_rejects_zero_workers_before_any_work(monkeypatch):
 
     monkeypatch.setattr(verify_mod, "run_all", run_all)
     assert main(["verify-all", "--workers", "0"]) == 64
-    assert main(["certify", "--s", "3", "--t", "3", "--delta", "6", "--workers", "0"]) == 64

@@ -1,15 +1,45 @@
-"""Enumeration driver: completeness, determinism, worker partitioning."""
+"""Enumeration driver: completeness, determinism, one pool task per degree
+sequence."""
 import multiprocessing
 import os
 
 import pytest
 
+from toruscert import verify
+from toruscert.certifier import certify_case
 from toruscert.enumeration import (
     brute_force_torus_classes,
     degree_sequences,
     enumerate_reduced_torus_graphs,
 )
 from toruscert.errors import ScaleLimit
+from toruscert.params import CaseParams
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The sizes of the pools asked for, from a stand-in pool that runs its
+    tasks in this process, so an absurd worker count starts no process."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=None):
+            return [fn(task) for task in tasks]
+
+    class InlineContext:
+        Pool = InlinePool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: InlineContext)
+    return sizes
 
 
 def test_degree_sequences():
@@ -61,39 +91,40 @@ def test_two_vertex_triangulation_has_one_loop_at_each_vertex():
 
 
 def test_workers_produce_identical_classes():
-    one = enumerate_reduced_torus_graphs(3, degrees=(6, 6, 6))
-    two = enumerate_reduced_torus_graphs(3, degrees=(6, 6, 6), workers=2)
+    # the two-vertex sweep has 18 degree sequences to share out
+    one = enumerate_reduced_torus_graphs(2)
+    two = enumerate_reduced_torus_graphs(2, workers=2)
+    assert len({c.degrees for c in one}) > 1
     assert [(c.degrees, c.matching, c.key) for c in one] == [
         (c.degrees, c.matching, c.key) for c in two
     ]
 
 
-def test_pool_size_is_clamped_to_cores_and_tasks(monkeypatch):
-    # a stand-in pool records the size asked for and runs the tasks in this
-    # process, so an absurd worker count starts no process at all
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, size):
-            sizes.append(size)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [fn(task) for task in tasks]
-
-    class InlineContext:
-        Pool = InlinePool
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: InlineContext)
-    many = enumerate_reduced_torus_graphs(2, degrees=(6, 6), workers=10**6)
-    one = enumerate_reduced_torus_graphs(2, degrees=(6, 6))
-    assert sizes == [min(len(os.sched_getaffinity(0)), 11)]  # 11 first-partner tasks
+def test_pool_size_is_clamped_to_cores_and_tasks(pool_sizes):
+    many = enumerate_reduced_torus_graphs(2, workers=10**6)
+    one = enumerate_reduced_torus_graphs(2)
+    # 18 degree sequences of 2 vertices and 3 to 6 edges, one task each
+    assert pool_sizes == [min(len(os.sched_getaffinity(0)), 18)]
     assert many == one
+
+
+def test_one_sequence_never_starts_a_pool(monkeypatch):
+    # certify_case searches the one sequence (6,) * s, so no worker count
+    # makes it fork
+    def get_context(method):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    assert certify_case(CaseParams(4, 4, 6), workers=8).survivors == 0
+
+
+def test_determinism_criterion_asks_for_a_pool_at_each_worker_count(pool_sizes, monkeypatch):
+    # with cores to spare, workers 2 and 8 each get a pool of their size, so
+    # the criterion runs each worker count instead of three in-process runs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    result = verify.criterion_determinism()
+    assert result.passed, result.details
+    assert pool_sizes == [2, 8]
 
 
 def test_odd_degree_spec_is_empty():
