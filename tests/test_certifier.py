@@ -197,12 +197,10 @@ def test_applied_counts_match_calls(monkeypatch, s, t):
     assert dict(calls) == {e["name"]: e["applied"] for e in chain if e["applied"]}
 
 
-def test_certificates_are_deterministic_across_runs_and_workers():
-    blobs = set()
-    for workers in (1, 2):
-        for _ in range(2):
-            cert = certify_case(CaseParams(2, 4, 6), workers=workers)
-            blobs.add(cert.to_json())
+def test_certificates_are_deterministic_across_runs():
+    # a case searches one degree sequence, which never forks, so worker
+    # counts are compared on the general sweep (test_enumeration)
+    blobs = {certify_case(CaseParams(2, 4, 6)).to_json() for _ in range(2)}
     assert len(blobs) == 1
 
 

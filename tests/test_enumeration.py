@@ -91,9 +91,9 @@ def test_two_vertex_triangulation_has_one_loop_at_each_vertex():
 
 
 def test_workers_produce_identical_classes():
-    # the two-vertex sweep has 18 degree sequences to share out
-    one = enumerate_reduced_torus_graphs(2)
-    two = enumerate_reduced_torus_graphs(2, workers=2)
+    # the three-vertex sweep to 6 edges has 25 degree sequences to share out
+    one = enumerate_reduced_torus_graphs(3, max_edges=6)
+    two = enumerate_reduced_torus_graphs(3, max_edges=6, workers=2)
     assert len({c.degrees for c in one}) > 1
     assert [(c.degrees, c.matching, c.key) for c in one] == [
         (c.degrees, c.matching, c.key) for c in two
@@ -101,11 +101,23 @@ def test_workers_produce_identical_classes():
 
 
 def test_pool_size_is_clamped_to_cores_and_tasks(pool_sizes):
-    many = enumerate_reduced_torus_graphs(2, workers=10**6)
-    one = enumerate_reduced_torus_graphs(2)
-    # 18 degree sequences of 2 vertices and 3 to 6 edges, one task each
-    assert pool_sizes == [min(len(os.sched_getaffinity(0)), 18)]
+    many = enumerate_reduced_torus_graphs(3, max_edges=6, workers=10**6)
+    one = enumerate_reduced_torus_graphs(3, max_edges=6)
+    # 25 degree sequences of 3 vertices and 4 to 6 edges, one task each
+    assert pool_sizes == [min(len(os.sched_getaffinity(0)), 25)]
     assert many == one
+
+
+def test_small_sweeps_never_start_a_pool(monkeypatch):
+    # a sweep of one or two vertices costs less than a pool's start-up, so
+    # no worker count makes it fork
+    def get_context(method):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert len(enumerate_reduced_torus_graphs(1, workers=8)) == 2
+    assert len(enumerate_reduced_torus_graphs(2, workers=8)) == 16
 
 
 def test_one_sequence_never_starts_a_pool(monkeypatch):
@@ -130,6 +142,14 @@ def test_determinism_criterion_asks_for_a_pool_at_each_worker_count(pool_sizes, 
 def test_odd_degree_spec_is_empty():
     # a lone vertex of degree 5 admits no pairing of its dart ends
     assert enumerate_reduced_torus_graphs(1, degrees=(5,)) == ()
+
+
+def test_degrees_must_match_the_vertex_count():
+    # else degrees= would get round the vertex cap
+    with pytest.raises(ValueError):
+        enumerate_reduced_torus_graphs(1, degrees=(6,) * 5)
+    with pytest.raises(ValueError):
+        enumerate_reduced_torus_graphs(3, degrees=(6, 6))
 
 
 def test_scale_limit():

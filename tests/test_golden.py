@@ -11,7 +11,14 @@ payload on purpose regenerates them with
 ``search_matchings(degrees)`` as canonical key (hex) to least matching, for
 every degree sequence of the degree-face criterion, the kernel test shapes
 and ``(6,) * 4``; the same command regenerates it.
+
+``kernel_nv4.json`` condenses the raw output for every four-vertex degree
+sequence up to eight edges: per sequence, the class count and the SHA-256
+of its ``kernel_text`` block.  It was generated from the kernel that walked
+every relabelling again from dart 0, so it checks the resumable walk against
+its predecessor; the same command regenerates it.
 """
+import hashlib
 import json
 from pathlib import Path
 
@@ -32,6 +39,8 @@ COUNTING_CASES = [
 # (s, t, rule_limit)
 TRUNCATED_CASES = [(3, 4, 2)]
 KERNEL_GOLDEN = GOLDEN / "kernel_classes.json"
+NV4_GOLDEN = GOLDEN / "kernel_nv4.json"
+NV4_MAX_EDGES = 8
 
 
 def kernel_cases():
@@ -47,6 +56,13 @@ def kernel_cases():
     return sorted(seqs)
 
 
+def nv4_cases():
+    """The four-vertex degree sequences of up to ``NV4_MAX_EDGES`` edges, sorted."""
+    return sorted(
+        seq for ne in range(5, NV4_MAX_EDGES + 1) for seq in degree_sequences(4, ne)
+    )
+
+
 def seq_name(seq):
     return ",".join(map(str, seq))
 
@@ -60,6 +76,20 @@ def kernel_text(results):
         body = "{\n" + ",\n".join(rows) + "\n }" if rows else "{}"
         lines.append(f' "{seq_name(seq)}": {body}')
     return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def nv4_digest(seq, found):
+    """``[class count, SHA-256 of the kernel_text block]`` of one sequence."""
+    return [len(found), hashlib.sha256(kernel_text({seq: found}).encode()).hexdigest()]
+
+
+def nv4_text():
+    """``{degrees: [count, digest]}`` as JSON, one sequence per line."""
+    rows = [
+        f' "{seq_name(seq)}": {json.dumps(nv4_digest(seq, kernel.search_matchings(seq)))}'
+        for seq in nv4_cases()
+    ]
+    return "{\n" + ",\n".join(rows) + "\n}\n"
 
 
 def golden_path(s, t):
@@ -109,7 +139,16 @@ def test_kernel_matches_golden():
         assert {key.hex(): list(m) for key, m in got.items()} == want[seq_name(seq)], seq
 
 
+def test_kernel_matches_nv4_golden():
+    # 81 sequences, 5,977 raw classes
+    want = json.loads(NV4_GOLDEN.read_text())
+    assert list(want) == [seq_name(seq) for seq in nv4_cases()]
+    for seq in nv4_cases():
+        assert nv4_digest(seq, kernel.search_matchings(seq)) == want[seq_name(seq)], seq
+
+
 if __name__ == "__main__":
+    NV4_GOLDEN.write_text(nv4_text())
     KERNEL_GOLDEN.write_text(
         kernel_text({seq: kernel.search_matchings(seq) for seq in kernel_cases()})
     )

@@ -53,6 +53,6 @@ def test_certify_prints_nothing(capfd):
         CaseParams(1, 2, 6),
     ]:
         certifier.certify_case(params).to_json()
-    assert enumeration.enumerate_reduced_torus_graphs(2, max_edges=5, workers=2)
+    assert enumeration.enumerate_reduced_torus_graphs(3, max_edges=6, workers=2)
     captured = capfd.readouterr()
     assert captured.out == ""
