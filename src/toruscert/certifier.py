@@ -788,8 +788,9 @@ def certify_case(params: CaseParams, *, mode="auto", workers=1, rule_limit=None)
     ``delta >= 6``; it reports the number of surviving configurations (zero
     asserts emptiness).  Counting mode (both counts at most 2) derives the
     distance bound.  Raises :class:`ScaleLimit` beyond the desk-scale caps.
-    ``workers`` goes to the enumeration, which searches the one sequence
-    ``(6,) * s`` in this process whatever its value.
+    ``workers`` goes to the enumeration, which has the one sequence
+    ``(6,) * s`` to search, so it searches it in this process and forks no
+    child whatever its value.
     """
     start = time.perf_counter()
     if mode == "auto":

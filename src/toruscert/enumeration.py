@@ -4,10 +4,11 @@ The kernel enumerates dart matchings over standard rotations per degree
 sequence (see :mod:`toruscert.kernel`); this module drives it over degree
 sequences.  One task searches one sequence and applies the reducedness
 filters that need exact homology (no parallel pair, no trivial loop).  A
-sweep of three or more vertices shares its tasks out to a worker pool;
-smaller sweeps cost less than a pool's start-up and run in process.  A
-pruning-free brute-force generator doubles as the completeness oracle at
-small scale.
+sweep of three or more vertices is split into fixed shares: the calling
+process searches the first and forked children the rest, each sending its
+results back over a pipe.  Smaller sweeps gain little or nothing from a
+fork and run in process.  A pruning-free brute-force generator doubles as
+the completeness oracle at small scale.
 """
 from __future__ import annotations
 
@@ -60,9 +61,7 @@ def _search(degrees):
 
 def _reduced_classes(degrees):
     """The reduced classes of one degree sequence, sorted by key: the
-    search's classes without a parallel pair or a trivial loop.  This is the
-    pool's task; the pool pickles it by module and name, which works because
-    no tracer wraps it (a wrapper is a closure, which does not pickle)."""
+    search's classes without a parallel pair or a trivial loop."""
     found = _search(degrees)
     classes = []
     for key in sorted(found):
@@ -74,22 +73,63 @@ def _reduced_classes(degrees):
     return classes
 
 
+def _send_share(conn, share):
+    """A child's work: the reduced classes of each sequence of ``share``,
+    sent as ``(True, results)``, or ``(False, exception)`` if one raised."""
+    try:
+        result = (True, [_reduced_classes(seq) for seq in share])
+    except BaseException as exc:
+        result = (False, exc)
+    conn.send(result)
+
+
 def _search_all(seqs, workers):
-    """The reduced classes of each sequence of ``seqs``, in order: one pool
-    task per sequence, or all in this process when one process is enough.
+    """The reduced classes of each sequence of ``seqs``, in order.
+
+    With ``size`` processes, ``seqs[i::size]`` is share ``i``: this process
+    searches share 0 while ``size - 1`` forked children search the others,
+    one sequence at a time.  The split is fixed, so every run does the same
+    work in each process.  A child's exception is raised again here, and
+    if anything raises, the children are terminated before they are joined.
 
     A sweep of at most two vertices never forks: it has at most 6 edges
-    (the Euler cap), and the whole two-vertex catalog takes 3.9 ms in
-    process against 8.2 ms in a pool of two, which costs about 3.5 ms to
-    start and join.  The three-vertex sweep to 7 edges takes 67 ms in
-    process and 45 ms in a pool of two (two cores, CPython 3.11)."""
+    (the Euler cap).  The one-vertex catalog takes 0.14 ms in process, less
+    than the 1.5 ms a child costs to fork, answer and join.  The whole
+    two-vertex catalog takes 3.9 ms in process against 3.4 ms split with one
+    child, a gain smaller than the fork itself.  The three-vertex sweep to 7
+    edges takes 67 ms in process and 36 ms split with one child (medians of
+    15 calls, two cores, CPython 3.11)."""
     # more processes than cores or sequences would only wait
     size = min(workers, len(os.sched_getaffinity(0)), len(seqs))
     if size <= 1 or len(seqs[0]) <= 2:
         return [_reduced_classes(seq) for seq in seqs]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(size) as pool:
-        return pool.map(_reduced_classes, seqs, chunksize=1)
+    children = []
+    try:
+        for i in range(1, size):
+            receiver, sender = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_send_share, args=(sender, seqs[i::size]), daemon=True)
+            child.start()
+            # this end closes in the child alone, so a dead child reads as EOF
+            sender.close()
+            children.append((child, receiver))
+        out = [None] * len(seqs)
+        out[0::size] = [_reduced_classes(seq) for seq in seqs[0::size]]
+        for i, (child, receiver) in enumerate(children, 1):
+            ok, value = receiver.recv()
+            if not ok:
+                raise value
+            out[i::size] = value
+        return out
+    except BaseException:
+        # a child blocked sending a large result would never exit
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receiver in children:
+            child.join()
+            receiver.close()
 
 
 def enumerate_reduced_torus_graphs(

@@ -80,7 +80,7 @@ def test_lemma_no_double_parallel_exit_codes():
 
 
 def test_certify_has_no_workers_option():
-    # certify searches one degree sequence, which never uses a worker pool
+    # certify searches one degree sequence, which never forks a child
     assert main(["certify", "--s", "3", "--t", "3", "--delta", "6", "--workers", "2"]) == 64
 
 

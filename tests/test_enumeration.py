@@ -1,45 +1,92 @@
-"""Enumeration driver: completeness, determinism, one pool task per degree
-sequence."""
+"""Enumeration driver: completeness, determinism, one task per degree
+sequence, and sweeps split between the caller and forked children."""
 import multiprocessing
 import os
+import signal
 
 import pytest
 
-from toruscert import verify
+from toruscert import enumeration, verify
 from toruscert.certifier import certify_case
+from toruscert.cli import main
 from toruscert.enumeration import (
     brute_force_torus_classes,
     degree_sequences,
     enumerate_reduced_torus_graphs,
 )
-from toruscert.errors import ScaleLimit
+from toruscert.errors import InvariantViolation, ScaleLimit
 from toruscert.params import CaseParams
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """The sizes of the pools asked for, from a stand-in pool that runs its
-    tasks in this process, so an absurd worker count starts no process."""
-    sizes = []
+def process_counts(monkeypatch):
+    """The processes each split sweep asks for, the caller included, from a
+    stand-in context whose children run their share when started and whose
+    pipes hand over what was sent, so an absurd worker count starts no
+    process."""
+    counts = []
 
-    class InlinePool:
-        def __init__(self, size):
-            sizes.append(size)
+    class InlinePipe:
+        def __init__(self):
+            self.sent = []
 
-        def __enter__(self):
-            return self
+        def send(self, obj):
+            self.sent.append(obj)
 
-        def __exit__(self, *exc):
-            return False
+        def recv(self):
+            return self.sent.pop(0)
 
-        def map(self, fn, tasks, chunksize=None):
-            return [fn(task) for task in tasks]
+        def close(self):
+            pass
+
+    class InlineProcess:
+        def __init__(self, target, args, daemon):
+            counts[-1] += 1
+            self.target, self.args = target, args
+
+        def start(self):
+            self.target(*self.args)
+
+        def terminate(self):
+            pass
+
+        def join(self):
+            pass
 
     class InlineContext:
-        Pool = InlinePool
+        Process = InlineProcess
 
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: InlineContext)
-    return sizes
+        @staticmethod
+        def Pipe(duplex):
+            pipe = InlinePipe()
+            return pipe, pipe
+
+    def get_context(method):
+        counts.append(1)
+        return InlineContext
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    return counts
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Room for one forked child, whatever the machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that takes more than 30 s instead of letting it hang."""
+
+    def expire(signum, frame):
+        raise AssertionError("the sweep hung")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def test_degree_sequences():
@@ -100,19 +147,51 @@ def test_workers_produce_identical_classes():
     ]
 
 
-def test_pool_size_is_clamped_to_cores_and_tasks(pool_sizes):
+def test_pool_size_is_clamped_to_cores_and_tasks(process_counts):
     many = enumerate_reduced_torus_graphs(3, max_edges=6, workers=10**6)
     one = enumerate_reduced_torus_graphs(3, max_edges=6)
     # 25 degree sequences of 3 vertices and 4 to 6 edges, one task each
-    assert pool_sizes == [min(len(os.sched_getaffinity(0)), 25)]
+    assert process_counts == [min(len(os.sched_getaffinity(0)), 25)]
     assert many == one
 
 
+@pytest.mark.parametrize("where", ["child", "caller"])
+def test_a_raising_share_leaves_no_process(where, two_cores, deadline, monkeypatch):
+    # the other side returns far more than a pipe's buffer holds, so a child
+    # left running would block in send and never exit
+    caller = os.getpid()
+
+    def reduced_classes(degrees):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise InvariantViolation(f"broken in the {where}")
+        return [b"x" * 1_000_000]
+
+    monkeypatch.setattr(enumeration, "_reduced_classes", reduced_classes)
+    with pytest.raises(InvariantViolation, match=f"broken in the {where}"):
+        enumerate_reduced_torus_graphs(3, max_edges=6, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_invariant_violation_exits_3(two_cores, deadline, monkeypatch):
+    # only the three-vertex sweep of the degree-face criterion forks
+    caller = os.getpid()
+    real = enumeration._reduced_classes
+
+    def reduced_classes(degrees):
+        if os.getpid() != caller:
+            raise InvariantViolation("broken in a child")
+        return real(degrees)
+
+    monkeypatch.setattr(enumeration, "_reduced_classes", reduced_classes)
+    assert main(["verify-all", "--workers", "2"]) == 3
+    assert multiprocessing.active_children() == []
+
+
 def test_small_sweeps_never_start_a_pool(monkeypatch):
-    # a sweep of one or two vertices costs less than a pool's start-up, so
-    # no worker count makes it fork
+    # splitting a sweep of one or two vertices gains less than a fork
+    # costs, so no worker count makes it fork
     def get_context(method):
-        raise AssertionError("a pool was started")
+        raise AssertionError("a child was forked")
 
     monkeypatch.setattr(multiprocessing, "get_context", get_context)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
@@ -124,19 +203,20 @@ def test_one_sequence_never_starts_a_pool(monkeypatch):
     # certify_case searches the one sequence (6,) * s, so no worker count
     # makes it fork
     def get_context(method):
-        raise AssertionError("a pool was started")
+        raise AssertionError("a child was forked")
 
     monkeypatch.setattr(multiprocessing, "get_context", get_context)
     assert certify_case(CaseParams(4, 4, 6), workers=8).survivors == 0
 
 
-def test_determinism_criterion_asks_for_a_pool_at_each_worker_count(pool_sizes, monkeypatch):
-    # with cores to spare, workers 2 and 8 each get a pool of their size, so
-    # the criterion runs each worker count instead of three in-process runs
+def test_determinism_criterion_asks_for_a_pool_at_each_worker_count(process_counts, monkeypatch):
+    # with cores to spare, workers 2 and 8 each split the sweep over that
+    # many processes, so the criterion runs each worker count instead of
+    # three in-process runs
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
     result = verify.criterion_determinism()
     assert result.passed, result.details
-    assert pool_sizes == [2, 8]
+    assert process_counts == [2, 8]
 
 
 def test_odd_degree_spec_is_empty():

@@ -43,7 +43,7 @@ def test_traced_name_exists(module, attr):
 
 def test_certify_prints_nothing(capfd):
     # a traced run reads its result from the last line of standard output;
-    # capfd captures the descriptor itself, so pool workers are heard too
+    # capfd captures the descriptor itself, so forked children are heard too
     for params in [
         CaseParams(3, 4, 6),
         CaseParams(4, 4, 6),
