@@ -18,9 +18,9 @@ holds its graph, every edge's ends, sign and the offset-free part of its
 shift, and the derived views the rules read (vertex types, sign patterns,
 loops, opposite-parity pair covers), which are computed from those edges
 alone.  A configuration is only its frame and its offsets:
-:func:`make_config` pairs them, and the families are derived when they are
-read.  Each rule declares whether it reads the ``frame`` alone or the
-``offsets`` too, and the offset rules compute only the shifts they read.
+:func:`make_config` pairs them, and nothing else is stored.  Each rule
+declares whether it reads the ``frame`` alone or the ``offsets`` too, and
+the offset rules compute from the frame's edges only the shifts they read.
 Each rule still runs once for every configuration it is applied to.
 
 Every rule's ``anchor`` is the one-line mathematical justification recorded
@@ -42,71 +42,55 @@ from toruscert.enumeration import enumerate_reduced_torus_graphs
 from toruscert.errors import InvariantViolation, ScaleLimit
 from toruscert.fatgraph import FatGraph
 from toruscert.params import NEUTRAL, POLARIZED, CaseParams, max_s, max_t
-from toruscert.perms import InducedPermutation
 
 
 # ---------------------------------------------------------------------------
 # decorated configurations
 
 
-class Family(NamedTuple):
-    """One reduced edge of a decorated configuration.
+def edge_shift(edge, offsets, t):
+    """The shift of edge ``(u, v, sign, c)`` at ``offsets``:
+    ``o_v + c + sign * o_u`` (mod t).
 
-    ``shift`` is the constant of the member label matching in 0-based form:
-    member labels satisfy ``y = shift - sign * x`` (mod t).  It depends only
-    on the endpoint offsets and parities because every family has full size,
-    so all label blocks start at multiples of t.  (The field ``index``
-    shadows ``tuple.index``.)
+    The edge's family matches member labels by ``y = shift - sign * x``
+    (mod t) in 0-based form.  The shift depends only on the endpoint offsets
+    and parities because every family has full size, so all label blocks
+    start at multiples of t.
     """
+    u, v, sign, c = edge
+    return (offsets[v] + c + sign * offsets[u]) % t
 
-    index: int
-    u: int
-    v: int
-    sign: int
-    shift: int
-    is_loop: bool
 
-    def induces_identity(self, t):
-        if self.sign == -1:
-            return self.shift % t == 0
-        # x -> shift - x fixes 0 only if t divides shift, and then fixes 1
-        # only if t divides 2
-        return t <= 2 and self.shift % t == 0
-
-    def perm(self, t) -> InducedPermutation:
-        return InducedPermutation(t, (self.shift + self.sign + 1) % t, self.sign)
+def induces_identity(sign, shift, t):
+    """Whether ``x -> shift - sign * x`` (mod t) is the identity."""
+    if sign == -1:
+        return shift % t == 0
+    # x -> shift - x fixes 0 only if t divides shift, and then fixes 1
+    # only if t divides 2
+    return t <= 2 and shift % t == 0
 
 
 class Config(NamedTuple):
     """A decorated candidate: a :class:`Frame` (graph class + vertex
-    parities) and a tuple of label offsets, one per vertex.
-
-    ``families`` is derived from the frame's edges on every read.
-    """
+    parities) and a tuple of label offsets, one per vertex."""
 
     frame: Frame
     offsets: tuple
 
-    @property
-    def families(self):
-        """Every edge's family, built from the frame's edges and the offsets."""
-        frame, offsets = self
-        return frame.families_at(offsets)
-
     def describe(self):
-        frame = self.frame
+        frame, offsets = self
         return {
             "graph": frame.graph_key.hex(),
             "parities": list(frame.parities),
-            "offsets": list(self.offsets),
+            "offsets": list(offsets),
             "families": [
                 {
-                    "edge": f.index,
-                    "ends": [f.u, f.v],
-                    "sign": f.sign,
-                    "shift": f.shift,
+                    "edge": i,
+                    "ends": [edge[0], edge[1]],
+                    "sign": edge[2],
+                    "shift": edge_shift(edge, offsets, frame.t),
                 }
-                for f in self.families
+                for i, edge in enumerate(frame.edges)
             ],
         }
 
@@ -120,10 +104,10 @@ class Frame:
     """What every configuration of one class and parity vector shares.
 
     ``edges`` holds each edge of ``graph`` as ``(u, v, sign, c)``, where
-    ``c = -p_v`` is the offset-free part of its shift; :meth:`families_at`
-    builds the families from them.  ``positive`` holds ``(i, u, v, c)`` for
+    ``c = -p_v`` is the offset-free part of its shift (:func:`edge_shift`);
+    it is the one record of an edge.  ``positive`` holds ``(i, u, v, c)`` for
     each positive edge ``i`` and ``negative`` holds ``(u, v, c)`` for each
-    negative one, so a rule can compute a shift without building the family.
+    negative one, for the rules that test every shift of one sign.
     The views read only the graph and the ends and signs of the edges, which
     no offset changes, so they are computed here once, on the frame itself.
     """
@@ -158,15 +142,6 @@ class Frame:
         self.loop_counts = tuple(loops_per_vertex(self))
         self.pair_cover = opposite_pair_cover(self)
         self.exact_pair_cover = opposite_pair_cover(self, exact=True)
-
-    def families_at(self, offsets):
-        """Every edge's family at ``offsets``: edge ``i`` from ``u`` to ``v``
-        has shift ``o_v + c + sign * o_u`` (mod t)."""
-        t = self.t
-        return tuple([
-            _record(Family, (i, u, v, sign, (offsets[v] + c + sign * offsets[u]) % t, u == v))
-            for i, (u, v, sign, c) in enumerate(self.edges)
-        ])
 
 
 def make_config(frame: Frame, offsets: tuple) -> Config:
@@ -305,7 +280,6 @@ class Rule:
 @dataclass(frozen=True)
 class CaseEnv:
     s: int
-    t: int
     delta: int
     two_vertex_key: bytes | None = None
 
@@ -436,6 +410,16 @@ def _r_endgame(config, env):
     return None
 
 
+# rule 2 of the generic chain, and the second rule of the two-vertex chain
+_POSITIVE_INVOLUTION = Rule(
+    "positive-involution-fixed-point-free",
+    "a fixed point of the involution induced by a positive family would be a"
+    " loop at a partner vertex that is negative there, impossible on an"
+    " orientable surface; at full size this also forces an even partner count",
+    "offsets",
+    _r_positive_fixed_point,
+)
+
 _GENERIC_RULES = [
     Rule(
         "all-positive-excluded",
@@ -445,14 +429,7 @@ _GENERIC_RULES = [
         "frame",
         _r_all_positive,
     ),
-    Rule(
-        "positive-involution-fixed-point-free",
-        "a fixed point of the involution induced by a positive family would be a"
-        " loop at a partner vertex that is negative there, impossible on an"
-        " orientable surface; at full size this also forces an even partner count",
-        "offsets",
-        _r_positive_fixed_point,
-    ),
+    _POSITIVE_INVOLUTION,
     Rule(
         "type-uniformity",
         "with every family at full size, the arcs sharing one endpoint label"
@@ -525,13 +502,15 @@ _GENERIC_RULES = [
 # -- two-boundary chain -------------------------------------------------------
 
 
-def _connector_split(config):
-    loops = [f for f in config.families if f.is_loop]
-    conns = [f for f in config.families if not f.is_loop]
+def _connector_split(frame):
+    """The two loops and the connector of the two-vertex standard form, as
+    edges; all four connectors are one edge, so they induce one
+    permutation at every offset vector."""
+    loops = [e for e in frame.edges if e[0] == e[1]]
+    conns = [e for e in frame.edges if e[0] != e[1]]
     if len(loops) != 2 or len(conns) != 4:
         raise InvariantViolation("two-vertex standard form expected")
-    keys = {(f.sign, f.shift) for f in conns}
-    if len(keys) != 1:
+    if len(set(conns)) != 1:
         raise InvariantViolation("connecting families must induce one permutation")
     return loops, conns[0]
 
@@ -543,8 +522,13 @@ def _r_two_vertex_form(config, env):
 
 
 def _r_connector_equals_loop(config, env):
-    loops, conn = _connector_split(config)
-    if conn.sign == 1 and any(conn.shift == lp.shift for lp in loops):
+    frame, offsets = config
+    loops, conn = _connector_split(frame)
+    if conn[2] != 1:
+        return None
+    t = frame.t
+    shift = edge_shift(conn, offsets, t)
+    if any(edge_shift(lp, offsets, t) == shift for lp in loops):
         bound = negative_size_bound(env.s, allow_exceptional=True)
         return {
             "partner_family_size": 6,
@@ -556,8 +540,9 @@ def _r_connector_equals_loop(config, env):
 
 
 def _r_connector_identity(config, env):
-    _, conn = _connector_split(config)
-    if conn.induces_identity(config.frame.t):
+    frame, offsets = config
+    _, conn = _connector_split(frame)
+    if induces_identity(conn[2], edge_shift(conn, offsets, frame.t), frame.t):
         return {
             "reason": "identity connector makes the partner orbit subgraph a"
             " union of loop-plus-2-cycle components, against the jumping-number"
@@ -567,8 +552,8 @@ def _r_connector_identity(config, env):
 
 
 def _r_connector_generic_positive(config, env):
-    _, conn = _connector_split(config)
-    if conn.sign == 1:
+    _, conn = _connector_split(config.frame)
+    if conn[2] == 1:
         bound = negative_size_bound(env.s, allow_exceptional=True)
         return {
             "partner_family_size": env.s + 2,
@@ -580,8 +565,8 @@ def _r_connector_generic_positive(config, env):
 
 
 def _r_connector_generic_klein(config, env):
-    _, conn = _connector_split(config)
-    if conn.sign == -1:
+    _, conn = _connector_split(config.frame)
+    if conn[2] == -1:
         return {
             "partner_positive_size": env.s + 2,
             "s_cycles_per_family": env.s + 1,
@@ -602,7 +587,7 @@ _TWO_VERTEX_RULES = [
         "frame",
         _r_two_vertex_form,
     ),
-    _GENERIC_RULES[1],  # positive-involution-fixed-point-free
+    _POSITIVE_INVOLUTION,
     Rule(
         "connector-equals-loop-permutation",
         "if the connecting permutation equals a loop permutation, the partner"
@@ -625,7 +610,7 @@ _TWO_VERTEX_RULES = [
         " size-four partner families it stacks are negative, exceeding the"
         " negative bound of three (the exceptional manifolds allow distances"
         " 4, 2, 1 only)",
-        "offsets",
+        "frame",
         _r_connector_generic_positive,
     ),
     Rule(
@@ -634,7 +619,7 @@ _TWO_VERTEX_RULES = [
         " positive partner families; their three S-cycle faces regenerate the"
         " surface from a once-punctured Klein bottle whose full-size negative"
         " families induce the identity, contradicting genericity",
-        "offsets",
+        "frame",
         _r_connector_generic_klein,
     ),
 ]
@@ -644,12 +629,11 @@ _TWO_VERTEX_RULES = [
 
 
 def _r_one_vertex_neg_size(config, env):
-    families = config.families
-    loops = [f for f in families if f.is_loop]
-    if len(loops) != 3 or len(families) != 3:
+    # three equal loops induce one permutation at every offset vector
+    edges = config.frame.edges
+    if len(edges) != 3 or any(u != v for u, v, _, _ in edges):
         raise InvariantViolation("one-vertex form expected")
-    shifts = {f.shift for f in loops}
-    if len(shifts) != 1:
+    if len(set(edges)) != 1:
         raise InvariantViolation("the three loop families must induce one permutation")
     bound = negative_size_bound(env.s, allow_exceptional=True)
     return {
@@ -668,7 +652,7 @@ _ONE_VERTEX_RULES = [
         " involution, so the partner graph's families are negative of size"
         " three, one more than the bound; only the exceptional manifolds with"
         " distances 4, 2, 1 admit that",
-        "offsets",
+        "frame",
         _r_one_vertex_neg_size,
     ),
 ]
@@ -781,7 +765,7 @@ def _log_entry(name, anchor, applied, eliminated):
     }
 
 
-def certify_case(params: CaseParams, *, mode="auto", workers=1, rule_limit=None):
+def certify_case(params: CaseParams, *, mode="auto", workers=1):
     """Certify one case, in enumeration or counting mode.
 
     Enumeration mode requires a side with at least three boundary circles and
@@ -841,13 +825,10 @@ def certify_case(params: CaseParams, *, mode="auto", workers=1, rule_limit=None)
     classes = enumerate_reduced_torus_graphs(s, degrees=(6,) * s, workers=workers)
     env = CaseEnv(
         s=s,
-        t=t,
         delta=params.delta,
         two_vertex_key=_two_vertex_form_key(classes) if s == 2 else None,
     )
     chain = build_chain(s)
-    if rule_limit is not None:
-        chain = chain[:rule_limit]
     # the functions are taken from the chain as built, so a wrapped rule is
     # the one that runs; every configuration is eliminated by one rule or
     # survives, so the applied counts follow by conservation

@@ -2,8 +2,10 @@
 import dataclasses
 import itertools
 import json
+import re
 from collections import Counter
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 
@@ -17,11 +19,12 @@ from toruscert.certifier import (
     iter_configs,
     make_config,
 )
+from toruscert.constraints import negative_size_bound
 from toruscert.embedded import expand_decorated, reduce_graph
 from toruscert.enumeration import enumerate_reduced_torus_graphs
 from toruscert.errors import InvariantViolation, ScaleLimit
 from toruscert.params import NEUTRAL, POLARIZED
-from toruscert.perms import induced_permutation
+from toruscert.perms import InducedPermutation, induced_permutation
 
 
 EMPTY_CASES = [(3, 3), (4, 4), (2, 4), (2, 6), (1, 3)]
@@ -75,6 +78,20 @@ def test_stated_polarities_are_subsumed_by_enumeration():
     assert any("parity assignment" in n for n in cert.notes)
 
 
+def certify_truncated(params, limit):
+    """``certify_case(params)`` with the chain cut to its first ``limit`` rules."""
+    real_build_chain = certifier.build_chain
+    with mock.patch.object(certifier, "build_chain", lambda s: real_build_chain(s)[:limit]):
+        return certify_case(params, workers=1)
+
+
+def family_perm(family, t):
+    """The permutation of one family of ``Config.describe()``, built from the
+    shift it records: labels match by ``y = shift - sign * x`` (mod t), 0-based."""
+    sign = family["sign"]
+    return InducedPermutation(t, (family["shift"] + sign + 1) % t, sign)
+
+
 def test_two_boundary_loop_permutations_are_conjugate():
     # the second loop's permutation is the connector conjugate of the first,
     # and equality with one loop forces equality with the other
@@ -84,13 +101,13 @@ def test_two_boundary_loop_permutations_are_conjugate():
         for parities in itertools.product((1,), (1, -1)):
             frame = Frame(graph, cls.key, parities, t)
             for offsets in itertools.product((0,), range(t)):
-                config = make_config(frame, offsets)
-                loops = [f for f in config.families if f.is_loop]
-                conns = [f for f in config.families if not f.is_loop]
+                families = make_config(frame, offsets).describe()["families"]
+                loops = [f for f in families if f["ends"][0] == f["ends"][1]]
+                conns = [f for f in families if f["ends"][0] != f["ends"][1]]
                 assert len(loops) == 2 and len(conns) == 4
-                assert len({(f.sign, f.shift) for f in conns}) == 1
-                sigma = conns[0].perm(t)
-                s1, s2 = (f.perm(t) for f in loops)
+                assert len({(f["sign"], f["shift"]) for f in conns}) == 1
+                sigma = family_perm(conns[0], t)
+                s1, s2 = (family_perm(f, t) for f in loops)
                 conj = tuple(
                     sigma.apply(s1.apply(sigma.inverse().apply(x)))
                     for x in range(1, t + 1)
@@ -150,7 +167,7 @@ def test_constraint_chain_is_monotone():
     # adding a rule never increases the survivor count
     base = None
     for limit in range(1, 12):
-        cert = certify_case(CaseParams(4, 4, 6), rule_limit=limit)
+        cert = certify_truncated(CaseParams(4, 4, 6), limit)
         if base is not None:
             assert cert.survivors <= base
         base = cert.survivors
@@ -158,7 +175,7 @@ def test_constraint_chain_is_monotone():
 
 
 def test_truncated_chain_reports_survivors_honestly():
-    cert = certify_case(CaseParams(4, 4, 6), rule_limit=2)
+    cert = certify_truncated(CaseParams(4, 4, 6), 2)
     assert cert.survivors > 0
     assert cert.survivor_samples
     sample = cert.survivor_samples[0]
@@ -236,14 +253,15 @@ def test_decorated_model_matches_member_level_graphs():
                 for offsets in itertools.product(range(t), repeat=s):
                     if offsets[0] != 0:
                         continue
-                    config = make_config(frame, offsets)
+                    families = make_config(frame, offsets).describe()["families"]
                     red = reduce_graph(expand_decorated(g, t, parities, offsets))
                     assert red.graph.canonical_key() == cls.key
-                    for fam, cf in zip(red.families, config.families):
+                    assert len(red.families) == len(families)
+                    for fam, cf in zip(red.families, families):
                         assert fam.size == t
-                        assert fam.sign == cf.sign
+                        assert fam.sign == cf["sign"]
                         got = induced_permutation(fam, t)
-                        want = cf.perm(t)
+                        want = family_perm(cf, t)
                         assert got.mapping() in (
                             want.mapping(),
                             want.inverse().mapping(),
@@ -273,10 +291,11 @@ def _perfect_matchings(rest):
 
 
 def reference_views(config, cls):
-    """The offset-free views of one configuration, read from its families
-    and, for the sign patterns, from the rotation system of its class, as
-    ``(types, patterns, loops, loop_counts, pair_cover, exact_pair_cover)``."""
-    families = config.families
+    """The offset-free views of one configuration, read from its reference
+    families and, for the sign patterns, from the rotation system of its
+    class, as ``(types, patterns, loops, loop_counts, pair_cover,
+    exact_pair_cover)``."""
+    families = eager_make_config(config.frame, config.offsets).families
     parities = config.frame.parities
     s = len(parities)
     pos, neg, loop_counts = [0] * s, [0] * s, [0] * s
@@ -326,7 +345,8 @@ def reference_views(config, cls):
 
 def _assert_frames_agree(classes, t):
     # every stored view equals the reference read from the configuration's
-    # families, and every family equals its closed form
+    # families, and every family the configuration describes equals its
+    # closed form
     for cls in classes:
         s = len(cls.degrees)
         ends = cls.graph().edge_ends()
@@ -338,7 +358,8 @@ def _assert_frames_agree(classes, t):
                 frame.types, frame.patterns, frame.loops, frame.loop_counts,
                 frame.pair_cover, frame.exact_pair_cover,
             ) == reference_views(config, cls)
-            signs = [f.sign for f in config.families]
+            families = config.describe()["families"]
+            signs = [f["sign"] for f in families]
             assert frame.all_positive == all(x == 1 for x in signs)
             assert frame.mixed_types == (len(set(frame.types)) > 1)
             assert frame.mixed_patterns == (len(set(frame.patterns)) > 1)
@@ -349,11 +370,16 @@ def _assert_frames_agree(classes, t):
             assert frame.negative == tuple(
                 (u, v, -p[v]) for i, (u, v) in enumerate(ends) if signs[i] == -1
             )
-            want = tuple(
-                (i, u, v, p[u] * p[v], (o[v] - p[v] + p[u] * p[v] * o[u]) % t, u == v)
+            want = [
+                {
+                    "edge": i,
+                    "ends": [u, v],
+                    "sign": p[u] * p[v],
+                    "shift": (o[v] - p[v] + p[u] * p[v] * o[u]) % t,
+                }
                 for i, (u, v) in enumerate(ends)
-            )
-            assert config.families == want
+            ]
+            assert families == want
         assert seen == 2 ** (s - 1) * t ** (s - 1)
 
 
@@ -371,15 +397,70 @@ def test_frames_agree_on_sparse_graphs():
 
 
 def test_positive_identity_closed_form():
+    # the identity test of connector-identity against brute force
     for t in range(1, 9):
         for shift in range(-t, 2 * t):
             for sign in (1, -1):
-                fam = certifier.Family(0, 0, 1, sign, shift, False)
                 brute = all((shift - sign * x) % t == x for x in range(t))
-                assert fam.induces_identity(t) == brute, (t, shift, sign)
+                assert certifier.induces_identity(sign, shift, t) == brute, (t, shift, sign)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [rule for rule in certifier.build_chain(2) if rule.name.startswith("connector-")],
+    ids=lambda rule: rule.name,
+)
+@pytest.mark.parametrize("break_edges,message", [
+    (lambda edges: edges[:-1], "two-vertex standard form expected"),
+    (lambda edges: edges[1:] + ((0, 1) + edges[0][2:],), "two-vertex standard form expected"),
+    (lambda edges: edges[:-2] + ((1, 0) + edges[1][2:], edges[-1]),
+     "connecting families must induce one permutation"),
+    (lambda edges: edges[:-2] + (edges[1][:3] + (-edges[1][3],), edges[-1]),
+     "connecting families must induce one permutation"),
+], ids=["one-loop", "five-connectors", "reversed-connector", "connector-offset-part"])
+def test_two_vertex_rules_check_the_standard_form(rule, break_edges, message):
+    # every connector rule reads the standard form off the frame's edges
+    # and refuses a frame that breaks it, whatever the offsets
+    classes = enumerate_reduced_torus_graphs(2, degrees=(6, 6))
+    env = _case_env(2, classes)
+    config = next(iter_configs(classes[0], 4))
+    rule.fn(config, env)  # the frame as built passes
+    config.frame.edges = break_edges(config.frame.edges)
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        rule.fn(config, env)
+
+
+@pytest.mark.parametrize("break_edges,message", [
+    (lambda edges: edges[:2], "one-vertex form expected"),
+    (lambda edges: edges[:2] + ((0, 1) + edges[2][2:],), "one-vertex form expected"),
+    (lambda edges: edges[:2] + (edges[2][:3] + (-edges[2][3],),),
+     "the three loop families must induce one permutation"),
+], ids=["two-loops", "connector", "loop-offset-part"])
+def test_one_vertex_rule_checks_the_form(break_edges, message):
+    classes = enumerate_reduced_torus_graphs(1, degrees=(6,))
+    env = _case_env(1, classes)
+    rule, = certifier.build_chain(1)
+    config = next(iter_configs(classes[0], 3))
+    assert rule.fn(config, env)["partner_family_size"] == 3
+    config.frame.edges = break_edges(config.frame.edges)
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        rule.fn(config, env)
 
 
 # -- decoration on demand against the eager reference ------------------------
+
+
+class Family(NamedTuple):
+    """One reduced edge of a configuration with its shift: member labels
+    match by ``y = shift - sign * x`` (mod t).  ``index`` shadows
+    ``tuple.index``."""
+
+    index: int
+    u: int
+    v: int
+    sign: int
+    shift: int
+    is_loop: bool
 
 
 class EagerConfig(NamedTuple):
@@ -390,14 +471,25 @@ class EagerConfig(NamedTuple):
     offsets: tuple
     families: tuple
 
-    describe = certifier.Config.describe
+    def describe(self):
+        frame = self.frame
+        return {
+            "graph": frame.graph_key.hex(),
+            "parities": list(frame.parities),
+            "offsets": list(self.offsets),
+            "families": [
+                {"edge": f.index, "ends": [f.u, f.v], "sign": f.sign, "shift": f.shift}
+                for f in self.families
+            ],
+        }
 
 
 def eager_make_config(frame, offsets):
+    # the families from the graph's edge ends and the parities alone
     t, p, o = frame.t, frame.parities, offsets
     families = tuple(
-        certifier.Family(i, u, v, p[u] * p[v], (o[v] - p[v] + p[u] * p[v] * o[u]) % t, u == v)
-        for i, (u, v, _, _) in enumerate(frame.edges)
+        Family(i, u, v, p[u] * p[v], (o[v] - p[v] + p[u] * p[v] * o[u]) % t, u == v)
+        for i, (u, v) in enumerate(frame.graph.edge_ends())
     )
     return EagerConfig(frame, tuple(offsets), families)
 
@@ -424,9 +516,109 @@ def eager_partner_has_loops(config):
     return any(f.sign == -1 and _has_fixed_point(f, config.frame.t) for f in config.families)
 
 
-def _case_env(s, t, classes):
+def _is_identity(f, t):
+    # by brute force: every member label x with x = shift - sign * x (mod t)
+    return all((f.shift - f.sign * x) % t == x for x in range(t))
+
+
+def _perm_of(f, config):
+    t = config.frame.t
+    return tuple((f.shift - f.sign * x) % t for x in range(t))
+
+
+def _eager_connector_split(config):
+    loops = [f for f in config.families if f.is_loop]
+    conns = [f for f in config.families if not f.is_loop]
+    if len(loops) != 2 or len(conns) != 4:
+        raise InvariantViolation("two-vertex standard form expected")
+    if len({(f.sign, f.shift) for f in conns}) != 1:
+        raise InvariantViolation("connecting families must induce one permutation")
+    return loops, conns[0]
+
+
+def eager_connector_equals_loop(config, env):
+    loops, conn = _eager_connector_split(config)
+    if conn.sign == 1 and any(_perm_of(conn, config) == _perm_of(lp, config) for lp in loops):
+        bound = negative_size_bound(env.s, allow_exceptional=True)
+        return {
+            "partner_family_size": 6,
+            "bound_check": bound.check(6, delta=env.delta).witness,
+            "reason": "partner graph generated by one loop orbit: negative"
+            " families of size six",
+        }
+    return None
+
+
+def eager_connector_identity(config, env):
+    _, conn = _eager_connector_split(config)
+    if _is_identity(conn, config.frame.t):
+        return {
+            "reason": "identity connector makes the partner orbit subgraph a"
+            " union of loop-plus-2-cycle components, against the jumping-number"
+            " distribution",
+        }
+    return None
+
+
+def eager_connector_generic_positive(config, env):
+    _, conn = _eager_connector_split(config)
+    if conn.sign == 1:
+        bound = negative_size_bound(env.s, allow_exceptional=True)
+        return {
+            "partner_family_size": env.s + 2,
+            "bound_check": bound.check(env.s + 2, delta=env.delta).witness,
+            "reason": "one member of each connecting family stacks into a"
+            " negative partner family of size four",
+        }
+    return None
+
+
+def eager_connector_generic_klein(config, env):
+    _, conn = _eager_connector_split(config)
+    if conn.sign == -1:
+        return {
+            "partner_positive_size": env.s + 2,
+            "s_cycles_per_family": env.s + 1,
+            "reason": "neutral sides with size-four positive partner families;"
+            " their S-cycle faces regenerate the configuration from a punctured"
+            " Klein bottle whose full-size negative families induce the"
+            " identity, contradicting a non-identity connector",
+        }
+    return None
+
+
+def eager_one_vertex_neg_size(config, env):
+    families = config.families
+    loops = [f for f in families if f.is_loop]
+    if len(loops) != 3 or len(families) != 3:
+        raise InvariantViolation("one-vertex form expected")
+    if len({_perm_of(f, config) for f in loops}) != 1:
+        raise InvariantViolation("the three loop families must induce one permutation")
+    bound = negative_size_bound(env.s, allow_exceptional=True)
+    return {
+        "partner_family_size": 3,
+        "bound": bound.bound,
+        "bound_check": bound.check(3, delta=env.delta).witness,
+        "reason": "all three loop families induce one involution, stacking into"
+        " partner families of size three over bound two",
+    }
+
+
+# the reference of every rule that reads shifts, or whose form check on
+# the frame stands for a check on the shifts, read from the families
+EAGER_RULES = {
+    certifier._r_positive_fixed_point: eager_positive_fixed_point,
+    certifier._r_connector_equals_loop: eager_connector_equals_loop,
+    certifier._r_connector_identity: eager_connector_identity,
+    certifier._r_connector_generic_positive: eager_connector_generic_positive,
+    certifier._r_connector_generic_klein: eager_connector_generic_klein,
+    certifier._r_one_vertex_neg_size: eager_one_vertex_neg_size,
+}
+
+
+def _case_env(s, classes):
     key = certifier._two_vertex_form_key(classes) if s == 2 else None
-    return certifier.CaseEnv(s=s, t=t, delta=6, two_vertex_key=key)
+    return certifier.CaseEnv(s=s, delta=6, two_vertex_key=key)
 
 
 def _outcome(fn, config, env):
@@ -443,22 +635,20 @@ EAGER_CASES = [(s, t) for s in (1, 2, 3) for t in (3, 4, 5, 6)] + [(4, 4), (4, 5
 def test_decoration_on_demand_matches_eager_reference(monkeypatch, s, t):
     # every rule is run on every configuration, not only on those the chain
     # passes to it, and returns what it returns on the eager record, where
-    # the positive fixed points and the partner loops are found by brute
-    # force over the families; odd t is included, as the inline rule 2
-    # branches on t % 2
+    # the fixed points, the partner loops and the permutations the small
+    # chains compare are found by brute force over the families; odd t is
+    # included, as the inline rule 2 branches on t % 2
     classes = enumerate_reduced_torus_graphs(s, degrees=(6,) * s)
-    env = _case_env(s, t, classes)
+    env = _case_env(s, classes)
     chain = certifier.build_chain(s)
     configs = [c for cls in classes for c in iter_configs(cls, t)]
     eager = [eager_make_config(c.frame, c.offsets) for c in configs]
     got = [[_outcome(rule.fn, c, env) for rule in chain] for c in configs]
     for config, ref in zip(configs, eager):
-        assert config.families == ref.families
         assert config.describe() == ref.describe()
-    reference = {certifier._r_positive_fixed_point: eager_positive_fixed_point}
     monkeypatch.setattr(certifier, "partner_has_loops", eager_partner_has_loops)
     want = [
-        [_outcome(reference.get(rule.fn, rule.fn), c, env) for rule in chain]
+        [_outcome(EAGER_RULES.get(rule.fn, rule.fn), c, env) for rule in chain]
         for c in eager
     ]
     assert got == want
@@ -469,7 +659,7 @@ def test_frame_rules_ignore_offsets(s, t):
     # a frame rule gives one verdict per frame: the one it gives with no
     # offsets at all, at every offset vector
     classes = enumerate_reduced_torus_graphs(s, degrees=(6,) * s)
-    env = _case_env(s, t, classes)
+    env = _case_env(s, classes)
     chain = certifier.build_chain(s)
     assert {rule.stage for rule in chain} <= {"frame", "offsets"}
     rules = [rule for rule in chain if rule.stage == "frame"]

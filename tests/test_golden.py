@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from tests.test_certifier import certify_truncated
 from tests.test_kernel import SHAPES
 from toruscert import kernel
 from toruscert.certifier import certify_case
@@ -36,7 +37,7 @@ CASES = [(3, 3), (3, 4), (3, 5), (3, 6), (4, 4), (4, 6), (1, 3), (2, 4), (2, 6)]
 COUNTING_CASES = [
     (2, 2, POLARIZED, None), (2, 2, NEUTRAL, NEUTRAL), (1, 2, None, None), (2, 1, None, None),
 ]
-# (s, t, rule_limit)
+# (s, t, number of chain rules kept)
 TRUNCATED_CASES = [(3, 4, 2)]
 KERNEL_GOLDEN = GOLDEN / "kernel_classes.json"
 NV4_GOLDEN = GOLDEN / "kernel_nv4.json"
@@ -113,7 +114,7 @@ def counting_payload(s, t, s_pol, t_pol):
 
 
 def truncated_payload(s, t, limit):
-    return certify_case(CaseParams(s, t, 6), workers=1, rule_limit=limit).to_json()
+    return certify_truncated(CaseParams(s, t, 6), limit).to_json()
 
 
 @pytest.mark.parametrize("s,t", CASES)
