@@ -17,7 +17,6 @@ from toruscert.embedded import (
     EmbeddedGraph,
     ParallelFamily,
     build_graph,
-    canonical_form,
     euler_characteristic,
     expand_decorated,
     reduce_graph,
@@ -57,7 +56,6 @@ __all__ = [
     "__version__",
     "apply_gluing",
     "build_graph",
-    "canonical_form",
     "certify_case",
     "check_fiber_distance",
     "derive_delta_bound",

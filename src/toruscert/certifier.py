@@ -1,16 +1,20 @@
 """Exhaustive case certification.
 
-For a pair of intersection graphs on a torus with boundary counts ``s, t``
-and slope distance ``delta >= 6``, the engine enumerates every candidate
-reduced graph configuration on the side whose partner count is at least 3:
-a canonical cellular reduced torus graph with degree 6 everywhere (forced by
-the distance), a parity class per vertex, and a label offset per vertex.
-The label structure of the full graph is an arithmetic progression around
-each vertex, so a configuration determines the induced permutation of every
-family in closed form; a chain of pruning rules then eliminates
-configurations, and the certificate records per-rule application and
-elimination counts.  Cases with ``s, t <= 2`` are settled in counting mode
-instead, by degree-capacity inequalities.
+A certificate is a function of its case ``(s, t, delta)`` alone.  Cases
+with ``s, t <= 2`` are settled in counting mode, by degree-capacity
+inequalities.  Every other case is settled in enumeration mode, on the side
+whose partner count is at least 3: the distance forcing there pins
+``delta = 6``, degree 6 at every vertex and full-size families, so the
+engine enumerates every candidate configuration, which is a canonical
+cellular reduced torus graph with degree 6 everywhere, a parity class per
+vertex and a label offset per vertex.  The label structure of the full graph
+is an arithmetic progression around each vertex, so a configuration
+determines the induced permutation of every family in closed form.  The
+rule chain is chosen by ``s`` alone (one vertex, two vertices, or more), and
+its rules read only the configuration; they eliminate configurations, and
+the certificate records per-rule application and elimination counts.  An
+empty catalog, or a one- or two-vertex graph outside its standard form, is
+an engine fault and raises :class:`InvariantViolation` instead.
 
 Decoration is staged by what the offsets leave unchanged.  A :class:`Frame`
 is built once per class and parity vector, before the offsets vary.  It
@@ -277,20 +281,13 @@ class Rule:
     fn: object
 
 
-@dataclass(frozen=True)
-class CaseEnv:
-    s: int
-    delta: int
-    two_vertex_key: bytes | None = None
-
-
-def _r_all_positive(config, env):
+def _r_all_positive(config):
     if config.frame.all_positive:
         return {"reason": "every family is positive, so every partner edge is negative"}
     return None
 
 
-def _r_positive_fixed_point(config, env):
+def _r_positive_fixed_point(config):
     # a positive family's shift is o_u + o_v + c, and x -> shift - x fixes
     # some x when 2x = shift (mod t): always at odd t, and at even t exactly
     # when the shift is even
@@ -309,21 +306,21 @@ def _r_positive_fixed_point(config, env):
     return None
 
 
-def _r_type_uniformity(config, env):
+def _r_type_uniformity(config):
     frame = config.frame
     if frame.mixed_types:
         return {"vertex_types": [list(x) for x in frame.types]}
     return None
 
 
-def _r_pattern_uniformity(config, env):
+def _r_pattern_uniformity(config):
     frame = config.frame
     if frame.mixed_patterns:
         return {"sign_patterns": [list(p) for p in frame.patterns]}
     return None
 
 
-def _r_loop_propagation(config, env):
+def _r_loop_propagation(config):
     frame = config.frame
     lv = frame.loops
     s = len(frame.parities)
@@ -332,7 +329,7 @@ def _r_loop_propagation(config, env):
     return None
 
 
-def _r_two_cycle_cover(config, env):
+def _r_two_cycle_cover(config):
     frame = config.frame
     if frame.all_positive:
         return None  # handled by the all-positive rule
@@ -349,7 +346,7 @@ def _r_two_cycle_cover(config, env):
     return None
 
 
-def _r_positive_structure_no_loops(config, env):
+def _r_positive_structure_no_loops(config):
     frame = config.frame
     if frame.loops:
         return None
@@ -362,7 +359,7 @@ def _r_positive_structure_no_loops(config, env):
     return None
 
 
-def _r_partner_positive_structure(config, env):
+def _r_partner_positive_structure(config):
     p, n = config.frame.types[0]
     if p == 0:
         return None  # all-negative configurations cannot be built at all
@@ -382,7 +379,7 @@ def _r_partner_positive_structure(config, env):
     return None
 
 
-def _r_loop_cover_form(config, env):
+def _r_loop_cover_form(config):
     frame = config.frame
     if not frame.loops:
         return None
@@ -396,7 +393,7 @@ def _r_loop_cover_form(config, env):
     return None
 
 
-def _r_endgame(config, env):
+def _r_endgame(config):
     frame = config.frame
     p, n = frame.types[0]
     looped = bool(frame.loops)
@@ -515,13 +512,21 @@ def _connector_split(frame):
     return loops, conns[0]
 
 
-def _r_two_vertex_form(config, env):
-    if config.frame.graph_key != env.two_vertex_key:
-        return {"reason": "not the antipodal-loop two-vertex form"}
+def _r_two_vertex_form(config):
+    # the degree-6 catalog at s = 2 is this one class, so a frame that
+    # breaks the form is an engine fault, not an elimination
+    frame = config.frame
+    _connector_split(frame)
+    # with two loops and four connectors on darts 0..5 (vertex 0) and 6..11
+    # (vertex 1), each vertex has one loop; its ends are antipodal when one
+    # of the vertex's first three darts is matched three darts on
+    m = frame.graph.matching
+    if 3 not in (m[0] - 0, m[1] - 1, m[2] - 2) or 3 not in (m[6] - 6, m[7] - 7, m[8] - 8):
+        raise InvariantViolation("one antipodal loop at each vertex expected")
     return None
 
 
-def _r_connector_equals_loop(config, env):
+def _r_connector_equals_loop(config):
     frame, offsets = config
     loops, conn = _connector_split(frame)
     if conn[2] != 1:
@@ -529,17 +534,17 @@ def _r_connector_equals_loop(config, env):
     t = frame.t
     shift = edge_shift(conn, offsets, t)
     if any(edge_shift(lp, offsets, t) == shift for lp in loops):
-        bound = negative_size_bound(env.s, allow_exceptional=True)
+        bound = negative_size_bound(2, allow_exceptional=True)
         return {
             "partner_family_size": 6,
-            "bound_check": bound.check(6, delta=env.delta).witness,
+            "bound_check": bound.check(6, delta=6).witness,
             "reason": "partner graph generated by one loop orbit: negative"
             " families of size six",
         }
     return None
 
 
-def _r_connector_identity(config, env):
+def _r_connector_identity(config):
     frame, offsets = config
     _, conn = _connector_split(frame)
     if induces_identity(conn[2], edge_shift(conn, offsets, frame.t), frame.t):
@@ -551,25 +556,25 @@ def _r_connector_identity(config, env):
     return None
 
 
-def _r_connector_generic_positive(config, env):
+def _r_connector_generic_positive(config):
     _, conn = _connector_split(config.frame)
     if conn[2] == 1:
-        bound = negative_size_bound(env.s, allow_exceptional=True)
+        bound = negative_size_bound(2, allow_exceptional=True)
         return {
-            "partner_family_size": env.s + 2,
-            "bound_check": bound.check(env.s + 2, delta=env.delta).witness,
+            "partner_family_size": 4,
+            "bound_check": bound.check(4, delta=6).witness,
             "reason": "one member of each connecting family stacks into a"
             " negative partner family of size four",
         }
     return None
 
 
-def _r_connector_generic_klein(config, env):
+def _r_connector_generic_klein(config):
     _, conn = _connector_split(config.frame)
     if conn[2] == -1:
         return {
-            "partner_positive_size": env.s + 2,
-            "s_cycles_per_family": env.s + 1,
+            "partner_positive_size": 4,
+            "s_cycles_per_family": 3,
             "reason": "neutral sides with size-four positive partner families;"
             " their S-cycle faces regenerate the configuration from a punctured"
             " Klein bottle whose full-size negative families induce the"
@@ -628,18 +633,18 @@ _TWO_VERTEX_RULES = [
 # -- one-boundary chain -------------------------------------------------------
 
 
-def _r_one_vertex_neg_size(config, env):
+def _r_one_vertex_neg_size(config):
     # three equal loops induce one permutation at every offset vector
     edges = config.frame.edges
     if len(edges) != 3 or any(u != v for u, v, _, _ in edges):
         raise InvariantViolation("one-vertex form expected")
     if len(set(edges)) != 1:
         raise InvariantViolation("the three loop families must induce one permutation")
-    bound = negative_size_bound(env.s, allow_exceptional=True)
+    bound = negative_size_bound(1, allow_exceptional=True)
     return {
         "partner_family_size": 3,
         "bound": bound.bound,
-        "bound_check": bound.check(3, delta=env.delta).witness,
+        "bound_check": bound.check(3, delta=6).witness,
         "reason": "all three loop families induce one involution, stacking into"
         " partner families of size three over bound two",
     }
@@ -765,34 +770,36 @@ def _log_entry(name, anchor, applied, eliminated):
     }
 
 
-def certify_case(params: CaseParams, *, mode="auto", workers=1):
-    """Certify one case, in enumeration or counting mode.
+def case_mode(params: CaseParams):
+    """The mode that settles a case: ``"counting"`` when both boundary
+    counts are at most 2, else ``"enumeration"``."""
+    return "counting" if max(params.s, params.t) <= 2 else "enumeration"
 
-    Enumeration mode requires a side with at least three boundary circles and
-    ``delta >= 6``; it reports the number of surviving configurations (zero
-    asserts emptiness).  Counting mode (both counts at most 2) derives the
-    distance bound.  Raises :class:`ScaleLimit` beyond the desk-scale caps.
+
+def certify_case(params: CaseParams, *, workers=1):
+    """Certify one case in the mode :func:`case_mode` gives it.
+
+    Counting mode (both counts at most 2) derives the distance bound.
+    Enumeration mode needs ``delta >= 6`` and runs on the side whose partner
+    count is at least 3, exchanging the sides when that is the first one; it
+    reports the number of surviving configurations (zero asserts emptiness).
+    Raises :class:`ScaleLimit` beyond the desk-scale caps and
+    :class:`InvariantViolation` when the degree-6 catalog is empty.
     ``workers`` goes to the enumeration, which has the one sequence
     ``(6,) * s`` to search, so it searches it in this process and forks no
     child whatever its value.
     """
     start = time.perf_counter()
-    if mode == "auto":
-        mode = "counting" if max(params.s, params.t) <= 2 else "enumeration"
-    if mode in ("count", "counting"):
+    if case_mode(params) == "counting":
         cert = derive_delta_bound(params)
         cert.elapsed_ms = (time.perf_counter() - start) * 1000
         return cert
-    if mode not in ("enumerate", "enumeration"):
-        raise ValueError(f"unknown mode {mode!r}")
 
     if params.delta < 6:
         raise ValueError("enumeration mode certifies the distance >= 6 regime")
     s, t = params.s, params.t
     notes = []
     if t < 3:
-        if s < 3:
-            raise ValueError("enumeration needs a side with at least 3 partner circles")
         s, t = t, s
         notes.append("sides exchanged: the roles of the two surfaces are symmetric")
     if s > max_s() or t > max_t():
@@ -823,11 +830,10 @@ def certify_case(params: CaseParams, *, mode="auto", workers=1):
     log.append(_log_entry("distance-degree-size-forcing", DISTANCE_FORCING_ANCHOR, 1, 0))
 
     classes = enumerate_reduced_torus_graphs(s, degrees=(6,) * s, workers=workers)
-    env = CaseEnv(
-        s=s,
-        delta=params.delta,
-        two_vertex_key=_two_vertex_form_key(classes) if s == 2 else None,
-    )
+    if not classes:
+        # every s has a degree-6 torus triangulation; an empty catalog
+        # would certify emptiness without running a single rule
+        raise InvariantViolation(f"no degree-6 torus graph with {s} vertices")
     chain = build_chain(s)
     # the functions are taken from the chain as built, so a wrapped rule is
     # the one that runs; every configuration is eliminated by one rule or
@@ -839,7 +845,7 @@ def certify_case(params: CaseParams, *, mode="auto", workers=1):
     for cls in classes:
         for config in iter_configs(cls, t):
             for k, fn in enumerate(fns):
-                if fn(config, env) is not None:
+                if fn(config) is not None:
                     eliminated[k] += 1
                     break
             else:
@@ -861,32 +867,6 @@ def certify_case(params: CaseParams, *, mode="auto", workers=1):
     )
     cert.elapsed_ms = (time.perf_counter() - start) * 1000
     return cert
-
-
-def _two_vertex_form_key(classes):
-    """Identify the antipodal-loop two-vertex class among the enumerated ones."""
-    hits = []
-    for cls in classes:
-        g = cls.graph()
-        if g.num_vertices != 2:
-            continue
-        ok = True
-        for v in (0, 1):
-            loops = g.loops_at(v)
-            if len(loops) != 1:
-                ok = False
-                break
-            a, b = g.edge_darts()[loops[0]]
-            if (b - a) % 6 != 3:
-                ok = False
-                break
-        if ok:
-            hits.append(cls.key)
-    if len(hits) != 1:
-        raise InvariantViolation(
-            f"expected exactly one antipodal-loop two-vertex class, found {len(hits)}"
-        )
-    return hits[0]
 
 
 # ---------------------------------------------------------------------------

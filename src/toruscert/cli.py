@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 verdict violation or failed verification, 2 scale
 limit, 3 broken internal invariant (an engine bug), 64 usage error (including
-a ``TORUSCERT_MAX_S``/``TORUSCERT_MAX_T`` that is not a positive integer).
+a ``TORUSCERT_MAX_S``/``TORUSCERT_MAX_T`` that is not a positive integer, a
+``certify --mode`` other than the case's own, and a file that cannot be
+opened, such as a ``--json`` path in a missing directory, which fails after
+the work is done).
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import click
 
 from toruscert import fileformat
 from toruscert._version import ENGINE_NAME, ENGINE_VERSION
-from toruscert.certifier import CaseParams, certify_case, distance_forcing
+from toruscert.certifier import CaseParams, case_mode, certify_case, distance_forcing
 from toruscert.constraints import (
     check_jn1,
     check_no_double_parallel,
@@ -31,6 +34,7 @@ from toruscert.perms import InducedPermutation, orbit_count
 from toruscert import verify as verify_mod
 
 _POL = click.Choice(["polarized", "neutral"])
+_MODES = {"enumerate": "enumeration", "count": "counting"}
 _POSITIVE = click.IntRange(min=1)
 
 
@@ -47,7 +51,12 @@ def cli():
 @click.option("--s", "s_", type=int, required=True, help="boundary count of the first surface")
 @click.option("--t", "t_", type=int, required=True, help="boundary count of the second surface")
 @click.option("--delta", type=int, required=True, help="slope distance")
-@click.option("--mode", type=click.Choice(["auto", "enumerate", "count"]), default="auto")
+@click.option(
+    "--mode",
+    type=click.Choice(["auto", *_MODES]),
+    default="auto",
+    help="check that the case is settled in this mode; the case fixes it",
+)
 @click.option("--s-polarity", type=_POL, default=None)
 @click.option("--t-polarity", type=_POL, default=None)
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None)
@@ -55,7 +64,11 @@ def cli():
 def certify(s_, t_, delta, mode, s_polarity, t_polarity, json_path, timing):
     """Certify one case: enumerate candidate configurations or count degrees."""
     params = CaseParams(s_, t_, delta, s_polarity, t_polarity)
-    cert = certify_case(params, mode=mode)
+    if mode != "auto" and _MODES[mode] != case_mode(params):
+        raise click.UsageError(
+            f"--mode {mode}: case s={s_} t={t_} is settled in {case_mode(params)} mode"
+        )
+    cert = certify_case(params)
     click.echo(f"case s={s_} t={t_} delta={delta} mode={cert.mode}")
     if cert.mode == "enumeration":
         click.echo(f"survivors: {cert.survivors}")
@@ -311,6 +324,9 @@ def main(argv=None):
         return 1
     except ValueError as exc:
         click.echo(f"invalid request: {exc}", err=True)
+        return 64
+    except OSError as exc:
+        click.echo(f"file error: {exc}", err=True)
         return 64
 
 

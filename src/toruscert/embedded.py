@@ -151,14 +151,13 @@ def _run_step(labels, n):
     return None
 
 
-def build_graph(parities, edge_specs, params=None, side="S", *, delta=None, n_opposite=None):
+def build_graph(parities, edge_specs, *, delta, n_opposite):
     """Validate and assemble an :class:`EmbeddedGraph`.
 
     ``parities`` lists the vertex parities (+1 or -1).  Each edge spec is
     ``((v1, slot1, label1), (v2, slot2, label2))`` or the same with a trailing
-    sign; labels are 1-based in ``1..n_opposite``.  The distance and opposite
-    count come either from ``params`` (a :class:`toruscert.params.CaseParams`,
-    read for side ``"S"`` or ``"T"``) or from the keyword arguments.
+    sign; labels are 1-based in ``1..n_opposite``, the partner count, and
+    every vertex has degree ``delta * n_opposite``.
 
     Raises :class:`SlotCollision` when the slots of a vertex are not covered
     exactly once, :class:`LabelBlockViolation` when a vertex label cycle is
@@ -166,16 +165,6 @@ def build_graph(parities, edge_specs, params=None, side="S", *, delta=None, n_op
     ``delta`` consecutive blocks), and :class:`ParityContradiction` when a
     given sign differs from the parity product.
     """
-    if params is not None:
-        delta = params.delta
-        n_opposite = params.t if side == "S" else params.s
-        expected_vertices = params.s if side == "S" else params.t
-        if len(parities) != expected_vertices:
-            raise ValueError(
-                f"side {side} expects {expected_vertices} vertices, got {len(parities)}"
-            )
-    if delta is None or n_opposite is None:
-        raise ValueError("delta and n_opposite are required")
     parities = tuple(parities)
     if any(p not in (1, -1) for p in parities):
         raise ValueError("parities must be +1 or -1")
@@ -373,16 +362,7 @@ def _block_darts(g: EmbeddedGraph, members, seed_dart):
     return block
 
 
-def canonical_form(g):
-    """Canonical key of the underlying rotation system (labels ignored)."""
-    if isinstance(g, EmbeddedGraph):
-        return g.fat.canonical_key()
-    if isinstance(g, ReducedGraph):
-        return g.graph.canonical_key()
-    return g.canonical_key()
-
-
-def expand_decorated(reduced: FatGraph, size, parities, offsets, delta=None):
+def expand_decorated(reduced: FatGraph, size, parities, offsets):
     """Materialize the member-level labeled graph of a decorated reduced graph.
 
     Every edge of ``reduced`` becomes a band of ``size`` parallel members.
@@ -396,10 +376,6 @@ def expand_decorated(reduced: FatGraph, size, parities, offsets, delta=None):
     if len(degs) != 1:
         raise ValueError("expand_decorated requires a regular reduced graph")
     deg = degs.pop()
-    if delta is None:
-        delta = deg
-    if delta != deg:
-        raise ValueError("delta must equal the reduced degree")
     expanded, blocks = reduced.expand_edges(t)
 
     def label(vertex, slot):
@@ -416,4 +392,4 @@ def expand_decorated(reduced: FatGraph, size, parities, offsets, delta=None):
             edge_specs.append(
                 ((va, sa, label(va, sa)), (vb, sb, label(vb, sb)))
             )
-    return build_graph(parities, edge_specs, delta=delta, n_opposite=t)
+    return build_graph(parities, edge_specs, delta=deg, n_opposite=t)

@@ -48,6 +48,10 @@ EMPTINESS_CASES = [
     (1, 3),
 ]
 
+# the fixed sample of criterion_euler_random
+EULER_SAMPLES = 10_000
+EULER_SEED = 0
+
 S2_BRANCHES = [
     "connector-equals-loop-permutation",
     "connector-identity",
@@ -176,12 +180,12 @@ def criterion_degree_face(workers=1):
     )
 
 
-def criterion_euler_random(samples=10_000, seed=0):
+def criterion_euler_random():
     """Face and Euler invariants on randomized rotation systems."""
     start = time.perf_counter()
-    rng = random.Random(seed)
+    rng = random.Random(EULER_SEED)
     problems = 0
-    for _ in range(samples):
+    for _ in range(EULER_SAMPLES):
         g = random_fat_graph(rng)
         if sum(g.face_sizes()) != 2 * g.num_edges:
             problems += 1
@@ -194,7 +198,7 @@ def criterion_euler_random(samples=10_000, seed=0):
         "euler-face-invariants",
         start,
         problems == 0,
-        f"{samples} random rotation systems, {problems} violations",
+        f"{EULER_SAMPLES} random rotation systems, {problems} violations",
     )
 
 

@@ -23,6 +23,7 @@ from toruscert.constraints import negative_size_bound
 from toruscert.embedded import expand_decorated, reduce_graph
 from toruscert.enumeration import enumerate_reduced_torus_graphs
 from toruscert.errors import InvariantViolation, ScaleLimit
+from toruscert.fatgraph import FatGraph
 from toruscert.params import NEUTRAL, POLARIZED
 from toruscert.perms import InducedPermutation, induced_permutation
 
@@ -130,8 +131,6 @@ def test_scale_limit_and_bad_modes():
     with pytest.raises(ScaleLimit):
         certify_case(CaseParams(9, 9, 6))
     with pytest.raises(ValueError):
-        certify_case(CaseParams(2, 2, 6), mode="enumerate")
-    with pytest.raises(ValueError):
         certify_case(CaseParams(3, 3, 5))
 
 
@@ -194,9 +193,9 @@ def test_applied_counts_match_calls(monkeypatch, s, t):
         return real_make_config(*args)
 
     def counted(name, fn):
-        def rule_fn(config, env):
+        def rule_fn(config):
             calls[name] += 1
-            return fn(config, env)
+            return fn(config)
 
         return rule_fn
 
@@ -407,7 +406,7 @@ def test_positive_identity_closed_form():
 
 @pytest.mark.parametrize(
     "rule",
-    [rule for rule in certifier.build_chain(2) if rule.name.startswith("connector-")],
+    [rule for rule in certifier.build_chain(2) if rule is not certifier._POSITIVE_INVOLUTION],
     ids=lambda rule: rule.name,
 )
 @pytest.mark.parametrize("break_edges,message", [
@@ -419,15 +418,44 @@ def test_positive_identity_closed_form():
      "connecting families must induce one permutation"),
 ], ids=["one-loop", "five-connectors", "reversed-connector", "connector-offset-part"])
 def test_two_vertex_rules_check_the_standard_form(rule, break_edges, message):
-    # every connector rule reads the standard form off the frame's edges
-    # and refuses a frame that breaks it, whatever the offsets
+    # every rule of the chain but rule 2 reads the standard form off the
+    # frame's edges and refuses a frame that breaks it, whatever the offsets
     classes = enumerate_reduced_torus_graphs(2, degrees=(6, 6))
-    env = _case_env(2, classes)
     config = next(iter_configs(classes[0], 4))
-    rule.fn(config, env)  # the frame as built passes
+    rule.fn(config)  # the frame as built passes
     config.frame.edges = break_edges(config.frame.edges)
     with pytest.raises(InvariantViolation, match=re.escape(message)):
-        rule.fn(config, env)
+        rule.fn(config)
+
+
+@pytest.mark.parametrize("matching,message", [
+    ((2, 6, 0, 7, 9, 10, 1, 3, 11, 4, 5, 8), "one antipodal loop at each vertex expected"),
+    ((3, 6, 7, 0, 9, 11, 1, 2, 10, 4, 8, 5), "one antipodal loop at each vertex expected"),
+    ((1, 0, 3, 2, 6, 7, 4, 5, 9, 8, 11, 10), "two-vertex standard form expected"),
+], ids=["vertex-0-loop-off-antipode", "vertex-1-loop-off-antipode", "two-loops-at-a-vertex"])
+def test_two_vertex_standard_form_checks_the_graph(matching, message):
+    # the catalog's one (6,6) class has darts 0, 3 and 8, 11 joined by
+    # loops; the rule passes it and refuses a graph with another form
+    rule = certifier.build_chain(2)[0]
+    assert rule.name == "two-vertex-standard-form"
+    cls, = enumerate_reduced_torus_graphs(2, degrees=(6, 6))
+    assert cls.matching == (3, 6, 7, 0, 9, 10, 1, 2, 11, 4, 5, 8)
+    for config in iter_configs(cls, 4):
+        assert rule.fn(config) is None
+    graph = FatGraph((6, 6), matching)
+    for parities in ((1, 1), (1, -1)):
+        config = make_config(Frame(graph, b"", parities, 4), (0, 1))
+        with pytest.raises(InvariantViolation, match=re.escape(message)):
+            rule.fn(config)
+
+
+@pytest.mark.parametrize("s,t", [(1, 3), (2, 4), (3, 3), (4, 4)])
+def test_empty_catalog_is_an_invariant_violation(monkeypatch, s, t):
+    # with no class no rule runs, so the certificate would assert emptiness
+    # with every rule applied 0 times
+    monkeypatch.setattr(certifier, "enumerate_reduced_torus_graphs", lambda *a, **k: ())
+    with pytest.raises(InvariantViolation, match=f"no degree-6 torus graph with {s} vertices"):
+        certify_case(CaseParams(s, t, 6))
 
 
 @pytest.mark.parametrize("break_edges,message", [
@@ -438,13 +466,12 @@ def test_two_vertex_rules_check_the_standard_form(rule, break_edges, message):
 ], ids=["two-loops", "connector", "loop-offset-part"])
 def test_one_vertex_rule_checks_the_form(break_edges, message):
     classes = enumerate_reduced_torus_graphs(1, degrees=(6,))
-    env = _case_env(1, classes)
     rule, = certifier.build_chain(1)
     config = next(iter_configs(classes[0], 3))
-    assert rule.fn(config, env)["partner_family_size"] == 3
+    assert rule.fn(config)["partner_family_size"] == 3
     config.frame.edges = break_edges(config.frame.edges)
     with pytest.raises(InvariantViolation, match=re.escape(message)):
-        rule.fn(config, env)
+        rule.fn(config)
 
 
 # -- decoration on demand against the eager reference ------------------------
@@ -499,7 +526,7 @@ def _has_fixed_point(f, t):
     return any((f.shift - f.sign * x) % t == x for x in range(t))
 
 
-def eager_positive_fixed_point(config, env):
+def eager_positive_fixed_point(config):
     # the rule read from the families
     for f in config.families:
         if f.sign == 1 and _has_fixed_point(f, config.frame.t):
@@ -536,20 +563,20 @@ def _eager_connector_split(config):
     return loops, conns[0]
 
 
-def eager_connector_equals_loop(config, env):
+def eager_connector_equals_loop(config):
     loops, conn = _eager_connector_split(config)
     if conn.sign == 1 and any(_perm_of(conn, config) == _perm_of(lp, config) for lp in loops):
-        bound = negative_size_bound(env.s, allow_exceptional=True)
+        bound = negative_size_bound(2, allow_exceptional=True)
         return {
             "partner_family_size": 6,
-            "bound_check": bound.check(6, delta=env.delta).witness,
+            "bound_check": bound.check(6, delta=6).witness,
             "reason": "partner graph generated by one loop orbit: negative"
             " families of size six",
         }
     return None
 
 
-def eager_connector_identity(config, env):
+def eager_connector_identity(config):
     _, conn = _eager_connector_split(config)
     if _is_identity(conn, config.frame.t):
         return {
@@ -560,25 +587,25 @@ def eager_connector_identity(config, env):
     return None
 
 
-def eager_connector_generic_positive(config, env):
+def eager_connector_generic_positive(config):
     _, conn = _eager_connector_split(config)
     if conn.sign == 1:
-        bound = negative_size_bound(env.s, allow_exceptional=True)
+        bound = negative_size_bound(2, allow_exceptional=True)
         return {
-            "partner_family_size": env.s + 2,
-            "bound_check": bound.check(env.s + 2, delta=env.delta).witness,
+            "partner_family_size": 4,
+            "bound_check": bound.check(4, delta=6).witness,
             "reason": "one member of each connecting family stacks into a"
             " negative partner family of size four",
         }
     return None
 
 
-def eager_connector_generic_klein(config, env):
+def eager_connector_generic_klein(config):
     _, conn = _eager_connector_split(config)
     if conn.sign == -1:
         return {
-            "partner_positive_size": env.s + 2,
-            "s_cycles_per_family": env.s + 1,
+            "partner_positive_size": 4,
+            "s_cycles_per_family": 3,
             "reason": "neutral sides with size-four positive partner families;"
             " their S-cycle faces regenerate the configuration from a punctured"
             " Klein bottle whose full-size negative families induce the"
@@ -587,18 +614,18 @@ def eager_connector_generic_klein(config, env):
     return None
 
 
-def eager_one_vertex_neg_size(config, env):
+def eager_one_vertex_neg_size(config):
     families = config.families
     loops = [f for f in families if f.is_loop]
     if len(loops) != 3 or len(families) != 3:
         raise InvariantViolation("one-vertex form expected")
     if len({_perm_of(f, config) for f in loops}) != 1:
         raise InvariantViolation("the three loop families must induce one permutation")
-    bound = negative_size_bound(env.s, allow_exceptional=True)
+    bound = negative_size_bound(1, allow_exceptional=True)
     return {
         "partner_family_size": 3,
         "bound": bound.bound,
-        "bound_check": bound.check(3, delta=env.delta).witness,
+        "bound_check": bound.check(3, delta=6).witness,
         "reason": "all three loop families induce one involution, stacking into"
         " partner families of size three over bound two",
     }
@@ -616,14 +643,9 @@ EAGER_RULES = {
 }
 
 
-def _case_env(s, classes):
-    key = certifier._two_vertex_form_key(classes) if s == 2 else None
-    return certifier.CaseEnv(s=s, delta=6, two_vertex_key=key)
-
-
-def _outcome(fn, config, env):
+def _outcome(fn, config):
     try:
-        return fn(config, env)
+        return fn(config)
     except InvariantViolation as exc:
         return ("raises", str(exc))
 
@@ -639,16 +661,15 @@ def test_decoration_on_demand_matches_eager_reference(monkeypatch, s, t):
     # chains compare are found by brute force over the families; odd t is
     # included, as the inline rule 2 branches on t % 2
     classes = enumerate_reduced_torus_graphs(s, degrees=(6,) * s)
-    env = _case_env(s, classes)
     chain = certifier.build_chain(s)
     configs = [c for cls in classes for c in iter_configs(cls, t)]
     eager = [eager_make_config(c.frame, c.offsets) for c in configs]
-    got = [[_outcome(rule.fn, c, env) for rule in chain] for c in configs]
+    got = [[_outcome(rule.fn, c) for rule in chain] for c in configs]
     for config, ref in zip(configs, eager):
         assert config.describe() == ref.describe()
     monkeypatch.setattr(certifier, "partner_has_loops", eager_partner_has_loops)
     want = [
-        [_outcome(EAGER_RULES.get(rule.fn, rule.fn), c, env) for rule in chain]
+        [_outcome(EAGER_RULES.get(rule.fn, rule.fn), c) for rule in chain]
         for c in eager
     ]
     assert got == want
@@ -659,7 +680,6 @@ def test_frame_rules_ignore_offsets(s, t):
     # a frame rule gives one verdict per frame: the one it gives with no
     # offsets at all, at every offset vector
     classes = enumerate_reduced_torus_graphs(s, degrees=(6,) * s)
-    env = _case_env(s, classes)
     chain = certifier.build_chain(s)
     assert {rule.stage for rule in chain} <= {"frame", "offsets"}
     rules = [rule for rule in chain if rule.stage == "frame"]
@@ -668,5 +688,5 @@ def test_frame_rules_ignore_offsets(s, t):
             group = list(group)
             assert len(group) == t ** (s - 1)
             for rule in rules:
-                verdict = rule.fn(make_config(frame, None), env)
-                assert all(rule.fn(c, env) == verdict for c in group), rule.name
+                verdict = rule.fn(make_config(frame, None))
+                assert all(rule.fn(c) == verdict for c in group), rule.name

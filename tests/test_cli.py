@@ -51,6 +51,34 @@ def test_broken_invariant_exits_3(monkeypatch, capsys):
     assert err.startswith("internal invariant violated:") and err.count("\n") == 1
 
 
+def test_certify_mode_only_checks_the_case(tmp_path):
+    # the case fixes its mode: naming another one is a usage error, and
+    # naming its own changes nothing
+    assert main(["certify", "--s", "3", "--t", "3", "--delta", "6", "--mode", "count"]) == 64
+    for s, t, mode in [("3", "3", "enumerate"), ("2", "2", "count"), ("3", "3", "auto"),
+                       ("2", "2", "auto")]:
+        argv = ["certify", "--s", s, "--t", t, "--delta", "6", "--json"]
+        plain, named = tmp_path / "plain.json", tmp_path / "named.json"
+        assert main(argv + [str(plain)]) == 0
+        assert main(argv + [str(named), "--mode", mode]) == 0
+        assert named.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--s", "1", "--t", "3", "--delta", "6"],
+    ["verify-all"],
+], ids=["certify", "verify-all"])
+def test_unwritable_json_path_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # the work is done before the write fails, so verify-all runs one
+    # criterion here
+    monkeypatch.setattr(verify_mod, "run_all", lambda **kwargs: [verify_mod.criterion_gluing()])
+    path = tmp_path / "missing" / "out.json"
+    assert main(argv + ["--json", str(path)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("file error:") and err.count("\n") == 1
+    assert str(path) in err
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "abc"])
 @pytest.mark.parametrize("name", ["TORUSCERT_MAX_S", "TORUSCERT_MAX_T"])
 def test_malformed_caps_are_usage_errors(monkeypatch, capsys, name, value):

@@ -133,13 +133,3 @@ def test_expand_decorated_requires_regular_graph():
     with pytest.raises(ValueError):
         expand_decorated(g, 3, (1, 1), (0, 0))
 
-
-def test_build_graph_with_case_params():
-    from toruscert.certifier import CaseParams
-
-    params = CaseParams(1, 2, 2)
-    specs = [((0, 0, 1), (0, 2, 1)), ((0, 1, 2), (0, 3, 2))]
-    g = build_graph([1], specs, params, side="S")
-    assert (g.delta, g.n_opposite) == (2, 2)
-    with pytest.raises(ValueError):
-        build_graph([1, 1], specs, params, side="S")  # wrong vertex count
