@@ -12,9 +12,11 @@ is an arithmetic progression around each vertex, so a configuration
 determines the induced permutation of every family in closed form.  The
 rule chain is chosen by ``s`` alone (one vertex, two vertices, or more), and
 its rules read only the configuration; they eliminate configurations, and
-the certificate records per-rule application and elimination counts.  An
-empty catalog, or a one- or two-vertex graph outside its standard form, is
-an engine fault and raises :class:`InvariantViolation` instead.
+the certificate records per-rule application and elimination counts.  The
+one- and two-vertex chains check their standard form once, in their first
+rule, and their later rules rely on the chain order.  An empty catalog, or a
+frame outside its standard form, is an engine fault and raises
+:class:`InvariantViolation` instead.
 
 Decoration is staged by what the offsets leave unchanged.  A :class:`Frame`
 is built once per class and parity vector, before the offsets vary.  It
@@ -497,26 +499,22 @@ _GENERIC_RULES = [
 
 
 # -- two-boundary chain -------------------------------------------------------
-
-
-def _connector_split(frame):
-    """The two loops and the connector of the two-vertex standard form, as
-    edges; all four connectors are one edge, so they induce one
-    permutation at every offset vector."""
-    loops = [e for e in frame.edges if e[0] == e[1]]
-    conns = [e for e in frame.edges if e[0] != e[1]]
-    if len(loops) != 2 or len(conns) != 4:
-        raise InvariantViolation("two-vertex standard form expected")
-    if len(set(conns)) != 1:
-        raise InvariantViolation("connecting families must induce one permutation")
-    return loops, conns[0]
+# The later rules rely on two-vertex-standard-form.  FatGraph.edge_ends puts
+# the lower vertex first, so the four connectors are one edge (0, 1, p0 * p1,
+# -p1), and the loops are positive, so frame.all_positive gives its sign.  The
+# size-bound witnesses depend on no configuration.
+_TWO_VERTEX_BOUND = negative_size_bound(2, allow_exceptional=True)
+_LOOP_ORBIT_WITNESS = _TWO_VERTEX_BOUND.check(6, delta=6).witness
+_STACKED_WITNESS = _TWO_VERTEX_BOUND.check(4, delta=6).witness
 
 
 def _r_two_vertex_form(config):
     # the degree-6 catalog at s = 2 is this one class, so a frame that
     # breaks the form is an engine fault, not an elimination
     frame = config.frame
-    _connector_split(frame)
+    edges = frame.edges
+    if len(edges) != 6 or sum(u == v for u, v, _, _ in edges) != 2:
+        raise InvariantViolation("two-vertex standard form expected")
     # with two loops and four connectors on darts 0..5 (vertex 0) and 6..11
     # (vertex 1), each vertex has one loop; its ends are antipodal when one
     # of the vertex's first three darts is matched three darts on
@@ -528,16 +526,15 @@ def _r_two_vertex_form(config):
 
 def _r_connector_equals_loop(config):
     frame, offsets = config
-    loops, conn = _connector_split(frame)
-    if conn[2] != 1:
+    if not frame.all_positive:
         return None
     t = frame.t
+    conn = next(e for e in frame.edges if e[0] != e[1])
     shift = edge_shift(conn, offsets, t)
-    if any(edge_shift(lp, offsets, t) == shift for lp in loops):
-        bound = negative_size_bound(2, allow_exceptional=True)
+    if any(e[0] == e[1] and edge_shift(e, offsets, t) == shift for e in frame.edges):
         return {
             "partner_family_size": 6,
-            "bound_check": bound.check(6, delta=6).witness,
+            "bound_check": _LOOP_ORBIT_WITNESS,
             "reason": "partner graph generated by one loop orbit: negative"
             " families of size six",
         }
@@ -546,7 +543,7 @@ def _r_connector_equals_loop(config):
 
 def _r_connector_identity(config):
     frame, offsets = config
-    _, conn = _connector_split(frame)
+    conn = next(e for e in frame.edges if e[0] != e[1])
     if induces_identity(conn[2], edge_shift(conn, offsets, frame.t), frame.t):
         return {
             "reason": "identity connector makes the partner orbit subgraph a"
@@ -557,12 +554,10 @@ def _r_connector_identity(config):
 
 
 def _r_connector_generic_positive(config):
-    _, conn = _connector_split(config.frame)
-    if conn[2] == 1:
-        bound = negative_size_bound(2, allow_exceptional=True)
+    if config.frame.all_positive:
         return {
             "partner_family_size": 4,
-            "bound_check": bound.check(4, delta=6).witness,
+            "bound_check": _STACKED_WITNESS,
             "reason": "one member of each connecting family stacks into a"
             " negative partner family of size four",
         }
@@ -570,8 +565,7 @@ def _r_connector_generic_positive(config):
 
 
 def _r_connector_generic_klein(config):
-    _, conn = _connector_split(config.frame)
-    if conn[2] == -1:
+    if not config.frame.all_positive:
         return {
             "partner_positive_size": 4,
             "s_cycles_per_family": 3,
@@ -633,18 +627,19 @@ _TWO_VERTEX_RULES = [
 # -- one-boundary chain -------------------------------------------------------
 
 
+_ONE_VERTEX_BOUND = negative_size_bound(1, allow_exceptional=True)
+_ONE_VERTEX_WITNESS = _ONE_VERTEX_BOUND.check(3, delta=6).witness
+
+
 def _r_one_vertex_neg_size(config):
-    # three equal loops induce one permutation at every offset vector
-    edges = config.frame.edges
-    if len(edges) != 3 or any(u != v for u, v, _, _ in edges):
+    # the three loops of a one-vertex graph are one edge (0, 0, 1, -p0), so
+    # they induce one permutation at every offset vector
+    if len(config.frame.edges) != 3:
         raise InvariantViolation("one-vertex form expected")
-    if len(set(edges)) != 1:
-        raise InvariantViolation("the three loop families must induce one permutation")
-    bound = negative_size_bound(1, allow_exceptional=True)
     return {
         "partner_family_size": 3,
-        "bound": bound.bound,
-        "bound_check": bound.check(3, delta=6).witness,
+        "bound": _ONE_VERTEX_BOUND.bound,
+        "bound_check": _ONE_VERTEX_WITNESS,
         "reason": "all three loop families induce one involution, stacking into"
         " partner families of size three over bound two",
     }
@@ -701,7 +696,7 @@ def distance_forcing(t, delta, negative_family_size=None):
     For ``t >= 3`` and ``delta >= 6`` the conclusions are distance exactly 6,
     reduced degree exactly 6 and every family of size exactly ``t``.  Passing
     a hypothetical ``negative_family_size > t`` returns the counting
-    contradiction instead.
+    contradiction instead, and a distance above 6 the forced distance.
     """
     if t < 3 or delta < 6:
         return DistanceForcing(applicable=False)
@@ -714,6 +709,15 @@ def distance_forcing(t, delta, negative_family_size=None):
                 "lhs": 6 * t,
                 "rhs": 4 * t + 4,
                 "conclusion": "t <= 2, contradiction",
+            },
+        )
+    if delta > 6:
+        return DistanceForcing(
+            applicable=True,
+            contradiction={
+                "delta": delta,
+                "forced_delta": 6,
+                "conclusion": "distance above six is incompatible with the forcing",
             },
         )
     return DistanceForcing(
@@ -777,24 +781,28 @@ def case_mode(params: CaseParams):
 
 
 def certify_case(params: CaseParams, *, workers=1):
-    """Certify one case in the mode :func:`case_mode` gives it.
+    """Certify one case in the mode :func:`case_mode` gives it, and time it:
+    by :func:`derive_delta_bound` in counting mode (both counts at most 2),
+    else by :func:`_enumerate_case`."""
+    start = time.perf_counter()
+    if case_mode(params) == "counting":
+        cert = derive_delta_bound(params)
+    else:
+        cert = _enumerate_case(params, workers)
+    cert.elapsed_ms = (time.perf_counter() - start) * 1000
+    return cert
 
-    Counting mode (both counts at most 2) derives the distance bound.
-    Enumeration mode needs ``delta >= 6`` and runs on the side whose partner
-    count is at least 3, exchanging the sides when that is the first one; it
-    reports the number of surviving configurations (zero asserts emptiness).
-    Raises :class:`ScaleLimit` beyond the desk-scale caps and
+
+def _enumerate_case(params: CaseParams, workers):
+    """Enumeration mode needs ``delta >= 6`` and runs on the side whose
+    partner count is at least 3, exchanging the sides when that is the first
+    one; it reports the number of surviving configurations (zero asserts
+    emptiness).  Raises :class:`ScaleLimit` beyond the desk-scale caps and
     :class:`InvariantViolation` when the degree-6 catalog is empty.
     ``workers`` goes to the enumeration, which has the one sequence
     ``(6,) * s`` to search, so it searches it in this process and forks no
     child whatever its value.
     """
-    start = time.perf_counter()
-    if case_mode(params) == "counting":
-        cert = derive_delta_bound(params)
-        cert.elapsed_ms = (time.perf_counter() - start) * 1000
-        return cert
-
     if params.delta < 6:
         raise ValueError("enumeration mode certifies the distance >= 6 regime")
     s, t = params.s, params.t
@@ -812,22 +820,17 @@ def certify_case(params: CaseParams, *, workers=1):
             "enumeration covers every parity assignment; the stated polarities"
             " select a subcase of this certificate"
         )
-    log = []
-    if params.delta > 6:
-        # the forcing pins the distance to exactly six, so higher distances
-        # admit no configuration at all
-        log.append(_log_entry("distance-degree-size-forcing", DISTANCE_FORCING_ANCHOR, 1, 1))
-        cert = CaseCertificate(
-            params=params,
-            mode="enumeration",
-            survivors=0,
-            delta_bound=None,
-            constraint_log=log,
-            notes=notes + ["distance above six is incompatible with the forcing"],
+    # the forcing pins the distance to exactly six, so a higher distance
+    # admits no configuration at all
+    contradiction = distance_forcing(t, params.delta).contradiction
+    log = [_log_entry(
+        "distance-degree-size-forcing", DISTANCE_FORCING_ANCHOR, 1, 1 if contradiction else 0
+    )]
+    if contradiction:
+        return CaseCertificate(
+            params=params, mode="enumeration", survivors=0, delta_bound=None,
+            constraint_log=log, notes=notes + [contradiction["conclusion"]],
         )
-        cert.elapsed_ms = (time.perf_counter() - start) * 1000
-        return cert
-    log.append(_log_entry("distance-degree-size-forcing", DISTANCE_FORCING_ANCHOR, 1, 0))
 
     classes = enumerate_reduced_torus_graphs(s, degrees=(6,) * s, workers=workers)
     if not classes:
@@ -856,7 +859,7 @@ def certify_case(params: CaseParams, *, workers=1):
     for rule, gone in zip(chain, eliminated):
         log.append(_log_entry(rule.name, rule.anchor, applied, gone))
         applied -= gone
-    cert = CaseCertificate(
+    return CaseCertificate(
         params=params,
         mode="enumeration",
         survivors=survivors,
@@ -865,8 +868,6 @@ def certify_case(params: CaseParams, *, workers=1):
         notes=notes,
         survivor_samples=samples,
     )
-    cert.elapsed_ms = (time.perf_counter() - start) * 1000
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -897,9 +898,8 @@ def derive_delta_bound(params: CaseParams):
     Resolves the polarities (a single boundary circle is necessarily
     polarized; two polarized sides are incompatible), computes the degree
     capacity inequality for each consistent assignment and returns the
-    largest admissible distance.
+    largest admissible distance.  :func:`certify_case` times it.
     """
-    start = time.perf_counter()
     s, t = params.s, params.t
     if max(s, t) > 2:
         raise ValueError("counting mode applies to s, t <= 2")
@@ -951,12 +951,10 @@ def derive_delta_bound(params: CaseParams):
                 )
             )
             bounds.append(bound)
-    cert = CaseCertificate(
+    return CaseCertificate(
         params=params,
         mode="counting",
         survivors=None,
         delta_bound=max(bounds),
         constraint_log=log,
     )
-    cert.elapsed_ms = (time.perf_counter() - start) * 1000
-    return cert

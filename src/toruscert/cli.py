@@ -202,8 +202,8 @@ def lemma_degree_face(path, do_reduce):
 @click.option("--delta", type=_POSITIVE, required=True)
 @click.option("--negative-size", type=_POSITIVE, default=None)
 def lemma_distance_forcing(t_, delta, negative_size):
-    """Distance forcing: degree 6 and full-size families, or the counting
-    contradiction for an oversized hypothetical family."""
+    """Distance forcing: distance 6, degree 6 and full-size families, or the
+    contradiction for a distance above 6 or an oversized hypothetical family."""
     forcing = distance_forcing(t_, delta, negative_family_size=negative_size)
     if not forcing.applicable:
         click.echo("not applicable (needs partner count >= 3 and distance >= 6)")

@@ -124,6 +124,16 @@ def test_lemma_sizes(runner):
     assert res.exit_code == 0
 
 
+def test_lemma_distance_forcing_refuses_a_distance_above_six(runner):
+    res = runner.invoke(cli, ["lemma", "distance-forcing", "--t", "3", "--delta", "6"])
+    assert res.exit_code == 0
+    assert "forced: distance=6 reduced degree=6 family size=3" in res.output
+    # certify eliminates every distance above six by this forcing
+    res = runner.invoke(cli, ["lemma", "distance-forcing", "--t", "3", "--delta", "7"])
+    assert res.exit_code == 1
+    assert res.output.startswith("contradiction:")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
