@@ -17,7 +17,6 @@ from toruscert.embedded import (
     EmbeddedGraph,
     ParallelFamily,
     build_graph,
-    euler_characteristic,
     expand_decorated,
     reduce_graph,
     trace_faces,
@@ -61,7 +60,6 @@ __all__ = [
     "derive_delta_bound",
     "edge_orbit_subgraph",
     "enumerate_reduced_torus_graphs",
-    "euler_characteristic",
     "expand_decorated",
     "induced_permutation",
     "distance_forcing",

@@ -278,15 +278,9 @@ def klein(m_, scan):
 @cli.command("verify-all")
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--workers", type=_POSITIVE, default=1, show_default=True)
-@click.option(
-    "--fault-inject",
-    type=click.Choice(["corrupt-klein"]),
-    default=None,
-    help="test mode: corrupt one expected table to demonstrate failure detection",
-)
-def verify_all(json_path, workers, fault_inject):
+def verify_all(json_path, workers):
     """Run the whole acceptance suite, one pass/fail line per criterion."""
-    results = verify_mod.run_all(workers=workers, fault=fault_inject)
+    results = verify_mod.run_all(workers=workers)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         click.echo(f"[{status}] {r.name} ({r.elapsed_s:.2f}s) {r.details}")

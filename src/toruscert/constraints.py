@@ -37,18 +37,6 @@ def check_parity_rule(sign_in_s, sign_in_t):
     return ConstraintVerdict("parity-rule", ok, witness)
 
 
-def check_parity_rule_all(sign_pairs):
-    """Parity rule over a full pairing: all edges pass or the pairing fails."""
-    for i, (ss, st) in enumerate(sign_pairs):
-        if ss != -st:
-            return ConstraintVerdict(
-                "parity-rule",
-                False,
-                {"edge": i, "sign_in_s": ss, "sign_in_t": st},
-            )
-    return ConstraintVerdict("parity-rule", True)
-
-
 def check_no_double_parallel(pairing):
     """No two arcs lie in a common family on both sides.
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from toruscert.errors import (
+    GraphError,
     LabelBlockViolation,
     ParityContradiction,
     SlotCollision,
@@ -33,7 +34,6 @@ class Edge:
     end_a: EdgeEnd
     end_b: EdgeEnd
     sign: int
-    family: int | None = None
 
     @property
     def is_loop(self):
@@ -118,24 +118,6 @@ class EmbeddedGraph:
         )
 
 
-def _label_step(labels, n):
-    """Constant cyclic step of a label sequence, or None if not constant."""
-    if n == 1:
-        return 1 if all(x == 1 for x in labels) else None
-    steps = set()
-    m = len(labels)
-    for k in range(m):
-        steps.add((labels[(k + 1) % m] - labels[k]) % n)
-    if len(steps) != 1:
-        return None
-    step = steps.pop()
-    if step == 1 % n:
-        return 1
-    if step == (-1) % n:
-        return -1
-    return None
-
-
 def _run_step(labels, n):
     """Constant non-cyclic step (+1 or -1 mod n) of a label run, or None."""
     if n == 1:
@@ -159,7 +141,8 @@ def build_graph(parities, edge_specs, *, delta, n_opposite):
     sign; labels are 1-based in ``1..n_opposite``, the partner count, and
     every vertex has degree ``delta * n_opposite``.
 
-    Raises :class:`SlotCollision` when the slots of a vertex are not covered
+    Raises :class:`GraphError` when a parity, vertex or label is out of range,
+    :class:`SlotCollision` when the slots of a vertex are not covered
     exactly once, :class:`LabelBlockViolation` when a vertex label cycle is
     not a periodic +-1 run (equivalently, when it does not consist of
     ``delta`` consecutive blocks), and :class:`ParityContradiction` when a
@@ -167,7 +150,7 @@ def build_graph(parities, edge_specs, *, delta, n_opposite):
     """
     parities = tuple(parities)
     if any(p not in (1, -1) for p in parities):
-        raise ValueError("parities must be +1 or -1")
+        raise GraphError("parities must be +1 or -1")
     nv = len(parities)
     deg = delta * n_opposite
 
@@ -184,13 +167,13 @@ def build_graph(parities, edge_specs, *, delta, n_opposite):
         eb = EdgeEnd(*eb)
         for end in (ea, eb):
             if not 0 <= end.vertex < nv:
-                raise ValueError(f"vertex {end.vertex} out of range")
+                raise GraphError(f"vertex {end.vertex} out of range")
             if not 0 <= end.slot < deg:
                 raise SlotCollision(
                     f"slot {end.slot} out of range 0..{deg - 1} at vertex {end.vertex}"
                 )
             if not 1 <= end.label <= n_opposite:
-                raise ValueError(f"label {end.label} out of range 1..{n_opposite}")
+                raise GraphError(f"label {end.label} out of range 1..{n_opposite}")
             if (end.vertex, end.slot) in ends_seen:
                 raise SlotCollision(f"slot {end.slot} of vertex {end.vertex} used twice")
             ends_seen.add((end.vertex, end.slot))
@@ -210,11 +193,12 @@ def build_graph(parities, edge_specs, *, delta, n_opposite):
         ]
         raise SlotCollision(f"unused endpoint slots: {missing[:4]}...")
 
-    for v in range(nv):
-        if _label_step(slot_label[v], n_opposite) is None:
+    for v, labels in enumerate(slot_label):
+        # a cycle is a run that also steps from its last slot to its first
+        if _run_step(labels + labels[:1], n_opposite) is None:
             raise LabelBlockViolation(
                 f"label cycle at vertex {v} is not {delta} consecutive blocks:"
-                f" {slot_label[v]}"
+                f" {labels}"
             )
 
     matching = [-1] * (nv * deg)
@@ -257,11 +241,6 @@ def trace_faces(g: EmbeddedGraph):
     return tuple(out)
 
 
-def euler_characteristic(g: EmbeddedGraph):
-    """``V - E + F`` of the derived surface."""
-    return g.fat.euler_characteristic()
-
-
 @dataclass(frozen=True)
 class ReducedGraph:
     """Result of amalgamating parallel families: a reduced fat graph whose
@@ -282,7 +261,6 @@ def reduce_graph(g: EmbeddedGraph) -> ReducedGraph:
     """
     reduced_fat, fam_members = g.fat.amalgamate_parallel()
     deg = g.delta * g.n_opposite
-    darts = g.fat.edge_darts()
     families = []
     for i in sorted(fam_members):
         members = fam_members[i]

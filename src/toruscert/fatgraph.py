@@ -18,6 +18,7 @@ against zero.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 from toruscert import kernel
 
@@ -329,23 +330,16 @@ class FatGraph:
             kept_darts.update(darts[e])
         new_id = {}
         new_cycles = []
-        base = 0
-        for v, deg in enumerate(self.degrees):
+        for v, base in enumerate(_first_darts(self.degrees)):
             cyc = []
-            for k in range(deg):
-                d = base + k
+            for d in range(base, base + self.degrees[v]):
                 if d in kept_darts:
                     new_id[d] = (v, len(cyc))
                     cyc.append(d)
-            base += deg
             new_cycles.append(cyc)
         new_degrees = tuple(len(c) for c in new_cycles)
-        offsets = []
-        acc = 0
-        for deg in new_degrees:
-            offsets.append(acc)
-            acc += deg
-        new_matching = [-1] * acc
+        offsets = _first_darts(new_degrees)
+        new_matching = [-1] * sum(new_degrees)
         for e in keep:
             a, b = darts[e]
             va, ka = new_id[a]
@@ -406,16 +400,8 @@ class FatGraph:
         if t < 1:
             raise ValueError("size must be >= 1")
         new_degrees = tuple(d * t for d in self.degrees)
-        base_old = []
-        acc = 0
-        for d in self.degrees:
-            base_old.append(acc)
-            acc += d
-        base_new = []
-        acc = 0
-        for d in new_degrees:
-            base_new.append(acc)
-            acc += d
+        base_old = _first_darts(self.degrees)
+        base_new = _first_darts(new_degrees)
         blocks = {}
         for d in range(self.num_darts):
             v = self._vert[d]
@@ -448,17 +434,9 @@ class FatGraph:
         nv = self.num_vertices
         vertex_order = list(vertex_order) if vertex_order else list(range(nv))
         rotations = list(rotations) if rotations else [0] * nv
-        base_old = []
-        acc = 0
-        for d in self.degrees:
-            base_old.append(acc)
-            acc += d
         new_degrees = tuple(self.degrees[v] for v in vertex_order)
-        base_new = []
-        acc = 0
-        for d in new_degrees:
-            base_new.append(acc)
-            acc += d
+        base_old = _first_darts(self.degrees)
+        base_new = _first_darts(new_degrees)
         old_to_new = {}
         for new_v, old_v in enumerate(vertex_order):
             deg = self.degrees[old_v]
@@ -484,6 +462,11 @@ class FatGraph:
 
     def __repr__(self):
         return f"FatGraph(degrees={self.degrees}, matching={self.matching})"
+
+
+def _first_darts(degrees):
+    """The first dart of each vertex, darts numbered vertex by vertex."""
+    return list(accumulate(degrees, initial=0))[:-1]
 
 
 def _spanning_forest(size, links):

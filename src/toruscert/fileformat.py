@@ -51,6 +51,8 @@ def loads(text: str) -> EmbeddedGraph:
             edge_rows[eid] = (sign, tuple(nums[0:3]), tuple(nums[3:6]))
             continue
         raise GraphError(f"unparseable line: {raw!r}")
+    if not edge_rows:
+        raise GraphError("the file has no edge rows")
 
     if sorted(vertex_rows) != list(range(len(vertex_rows))):
         raise GraphError("vertex ids must be 0..V-1")

@@ -73,9 +73,9 @@ def induced_permutation(family, n) -> InducedPermutation:
     """The permutation induced by a :class:`ParallelFamily` on labels 1..n.
 
     Requires ``family.size >= n``; smaller families only induce a partial
-    matching (see :func:`partial_label_matching`) and raise
-    :class:`FamilyTooSmall`.  The affine form is validated against every
-    member, which also checks that all size-n subfamilies agree.
+    matching and raise :class:`FamilyTooSmall`.  The affine form is
+    validated against every member, which also checks that all size-n
+    subfamilies agree.
     """
     if family.size < n:
         raise FamilyTooSmall(
@@ -92,25 +92,6 @@ def induced_permutation(family, n) -> InducedPermutation:
                 f"family label sequences are not an affine matching mod {n}"
             )
     return perm
-
-
-def induced_permutation_from_pairs(pairs, n, epsilon) -> InducedPermutation:
-    """Same as :func:`induced_permutation` but from raw ``(x, y)`` pairs."""
-    pairs = list(pairs)
-    if len(pairs) < n:
-        raise FamilyTooSmall(f"{len(pairs)} pairs cannot induce a permutation mod {n}")
-    x0, y0 = pairs[0]
-    alpha = (y0 + epsilon * x0) % n
-    perm = InducedPermutation(n, alpha, epsilon)
-    for x, y in pairs:
-        if perm.apply(x) != y:
-            raise ValueError("pairs are not an affine matching")
-    return perm
-
-
-def partial_label_matching(family):
-    """The raw label pairs of a family, for families of any size."""
-    return tuple(zip(family.label_seq_a, family.label_seq_b))
 
 
 def orbit_count(p: InducedPermutation) -> OrbitDecomposition:

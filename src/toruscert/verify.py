@@ -108,17 +108,15 @@ def criterion_counting():
     )
 
 
-def criterion_klein(fault=None):
+def criterion_klein():
     """Gluing parameters admitting a punctured Klein bottle: exactly 1, 2, 4."""
     start = time.perf_counter()
-    table = {m: (sol.q, sol.distance) for m, sol in scan_klein_slopes(100)}
-    want = {1: (1, 4), 2: (1, 2), 4: (2, 1)}
-    if fault == "corrupt-klein":
-        want = {1: (1, 4), 2: (1, 2), 3: (1, 1)}
-    ok = table == want
-    for m, sol in scan_klein_slopes(100):
-        if slope_distance(sol.alpha, HomologyClass("T0", 1, 0)) != sol.distance:
-            ok = False
+    solutions = scan_klein_slopes(100)
+    table = {m: (sol.q, sol.distance) for m, sol in solutions}
+    ok = table == {1: (1, 4), 2: (1, 2), 4: (2, 1)} and all(
+        slope_distance(sol.alpha, HomologyClass("T0", 1, 0)) == sol.distance
+        for _, sol in solutions
+    )
     return _result(
         "klein-slope-classification",
         start,
@@ -256,11 +254,11 @@ def criterion_determinism():
     )
 
 
-def run_all(workers=1, fault=None):
+def run_all(workers=1):
     results = [
         criterion_emptiness(),
         criterion_counting(),
-        criterion_klein(fault=fault),
+        criterion_klein(),
         criterion_orbit_oracle(),
         criterion_degree_face(workers=workers),
         criterion_euler_random(),

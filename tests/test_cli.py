@@ -162,6 +162,20 @@ def test_lemma_with_graph_file(tmp_path, runner):
     assert "type {" in res.output
 
 
+@pytest.mark.parametrize("command", ["degree-face", "s-cycles"])
+@pytest.mark.parametrize(
+    "text",
+    ["v0 + : e0 e1 e0 e1\ne0 + (0,0,0)-(0,2,1)\ne1 + (0,1,2)-(0,3,2)\n", "v0 + :\n"],
+    ids=["label-0", "no-edges"],
+)
+def test_lemma_rejects_malformed_graph_file(tmp_path, capsys, command, text):
+    # a content fault in a graph file is a rejected graph, not a usage error
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert main(["lemma", command, "--input", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("graph rejected:")
+
+
 def test_perm_command(runner):
     res = runner.invoke(cli, ["perm", "--n", "6", "--alpha", "0", "--epsilon", "-1"])
     assert res.exit_code == 0
@@ -194,8 +208,8 @@ def test_klein_command(runner):
     assert main(["klein", "--scan", "-1"]) == 64
 
 
-def test_verify_all_fault_injection(tmp_path, monkeypatch):
-    # a deliberately corrupted expected table must make the suite fail, and
+def test_verify_all_fails_on_a_broken_klein_scan(tmp_path, monkeypatch):
+    # an engine that loses the m = 4 solution must make the suite fail, and
     # through the Klein criterion alone; the three slow criteria are stubbed
     # out here, since tests/test_acceptance.py runs them for real
     for name in ("criterion_emptiness", "criterion_degree_face", "criterion_determinism"):
@@ -204,7 +218,11 @@ def test_verify_all_fault_injection(tmp_path, monkeypatch):
     report = tmp_path / "report.json"
     assert main(["verify-all", "--json", str(report)]) == 0
     assert json.loads(report.read_text())["all_passed"]
-    assert main(["verify-all", "--fault-inject", "corrupt-klein", "--json", str(report)]) == 1
+    scan = verify_mod.scan_klein_slopes
+    monkeypatch.setattr(
+        verify_mod, "scan_klein_slopes", lambda limit: [(m, s) for m, s in scan(limit) if m != 4]
+    )
+    assert main(["verify-all", "--json", str(report)]) == 1
     failed = [c["name"] for c in json.loads(report.read_text())["criteria"] if not c["passed"]]
     assert failed == ["klein-slope-classification"]
 

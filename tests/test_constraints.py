@@ -5,7 +5,6 @@ from toruscert.constraints import (
     check_jn1,
     check_no_double_parallel,
     check_parity_rule,
-    check_parity_rule_all,
     detect_s_cycles,
     check_reduced_torus_degrees,
     negative_size_bound,
@@ -15,7 +14,7 @@ from toruscert.constraints import (
 from toruscert.embedded import build_graph, reduce_graph
 from toruscert.errors import NotCellular, WrongDelta
 from toruscert.fatgraph import FatGraph
-from tests.test_embedded import triple_loop_graph, two_vertex_graph
+from tests.test_embedded import triple_loop_graph
 
 
 def test_parity_rule_basic():
@@ -26,15 +25,6 @@ def test_parity_rule_basic():
     # positive on both sides must be rejected
     v = check_parity_rule(1, 1)
     assert v.witness == {"sign_in_s": 1, "sign_in_t": 1}
-
-
-def test_parity_rule_full_pairing():
-    t = 4
-    red = reduce_graph(two_vertex_graph(t))
-    pairs = [(f.sign, -f.sign) for f in red.families]
-    assert check_parity_rule_all(pairs)
-    pairs[2] = (1, 1)
-    assert not check_parity_rule_all(pairs)
 
 
 def test_no_double_parallel():

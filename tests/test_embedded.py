@@ -8,6 +8,7 @@ from toruscert.embedded import (
     trace_faces,
 )
 from toruscert.errors import (
+    GraphError,
     LabelBlockViolation,
     ParityContradiction,
     SlotCollision,
@@ -56,6 +57,26 @@ def test_valid_two_block_cycle():
     ]
     g = build_graph([1], specs, delta=2, n_opposite=2)
     assert g.vertices[0].labels == (1, 2, 1, 2)
+
+
+def test_one_label_cycle_validates():
+    # at n_opposite = 1 every slot carries label 1, a constant cycle
+    g = build_graph([1], [((0, 0, 1), (0, 1, 1))], delta=2, n_opposite=1)
+    assert g.vertices[0].labels == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "parities, specs",
+    [
+        ([0], [((0, 0, 1), (0, 2, 1)), ((0, 1, 2), (0, 3, 2))]),
+        ([1], [((0, 0, 1), (1, 2, 1)), ((0, 1, 2), (0, 3, 2))]),
+        ([1], [((0, 0, 0), (0, 2, 1)), ((0, 1, 2), (0, 3, 2))]),
+    ],
+    ids=["parity", "vertex", "label"],
+)
+def test_out_of_range_input_is_a_graph_error(parities, specs):
+    with pytest.raises(GraphError):
+        build_graph(parities, specs, delta=2, n_opposite=2)
 
 
 def test_slot_collision():
