@@ -11,19 +11,20 @@ vertex and a label offset per vertex.  The label structure of the full graph
 is an arithmetic progression around each vertex, so a configuration
 determines the induced permutation of every family in closed form.  The
 rule chain is chosen by ``s`` alone (one vertex, two vertices, or more), and
-its rules read only the configuration; they eliminate configurations, and
-the certificate records per-rule application and elimination counts.  The
-one- and two-vertex chains check their standard form once, in their first
-rule, and their later rules rely on the chain order.  An empty catalog, or a
-frame outside its standard form, is an engine fault and raises
+its rules read only the configuration.  Each rule is a predicate: it returns
+``True`` when it eliminates the configuration and ``False`` when it passes it
+on, and the certificate records per-rule application and elimination counts.
+The one- and two-vertex chains check their standard form once, in their
+first rule, and their later rules rely on the chain order.  An empty
+catalog, or a frame outside its standard form, is an engine fault and raises
 :class:`InvariantViolation` instead.
 
 Decoration is staged by what the offsets leave unchanged.  A :class:`Frame`
 is built once per class and parity vector, before the offsets vary.  It
 holds its graph, every edge's ends, sign and the offset-free part of its
-shift, and the derived views the rules read (vertex types, sign patterns,
-loops, opposite-parity pair covers), which are computed from those edges
-alone.  A configuration is only its frame and its offsets:
+shift, and the derived views the rules read (vertex types, whether the sign
+patterns differ, loops, opposite-parity pair covers), which are computed
+from those edges alone.  A configuration is only its frame and its offsets:
 :func:`make_config` pairs them, and nothing else is stored.  Each rule
 declares whether it reads the ``frame`` alone or the ``offsets`` too, and
 the offset rules compute from the frame's edges only the shifts they read.
@@ -43,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from toruscert._version import ENGINE_NAME, ENGINE_VERSION
-from toruscert.constraints import negative_size_bound
 from toruscert.enumeration import enumerate_reduced_torus_graphs
 from toruscert.errors import InvariantViolation, ScaleLimit
 from toruscert.fatgraph import FatGraph
@@ -111,9 +111,9 @@ class Frame:
 
     ``edges`` holds each edge of ``graph`` as ``(u, v, sign, c)``, where
     ``c = -p_v`` is the offset-free part of its shift (:func:`edge_shift`);
-    it is the one record of an edge.  ``positive`` holds ``(i, u, v, c)`` for
-    each positive edge ``i`` and ``negative`` holds ``(u, v, c)`` for each
-    negative one, for the rules that test every shift of one sign.
+    it is the one record of an edge.  ``positive`` and ``negative`` hold
+    ``(u, v, c)`` for each edge of that sign, for the rules that test every
+    shift of one sign.
     The views read only the graph and the ends and signs of the edges, which
     no offset changes, so they are computed here once, on the frame itself.
     """
@@ -121,7 +121,7 @@ class Frame:
     __slots__ = (
         "graph", "graph_key", "parities", "t", "edges",
         "all_positive", "positive", "negative", "types",
-        "mixed_types", "patterns", "mixed_patterns", "loops", "loop_counts",
+        "mixed_types", "mixed_patterns", "loops", "loop_counts",
         "pair_cover", "exact_pair_cover",
     )
 
@@ -135,15 +135,12 @@ class Frame:
             sign = parities[u] * parities[v]
             edges.append((u, v, sign, -parities[v]))
         self.edges = edges = tuple(edges)
-        self.positive = tuple(
-            (i, u, v, c) for i, (u, v, sign, c) in enumerate(edges) if sign == 1
-        )
+        self.positive = tuple((u, v, c) for u, v, sign, c in edges if sign == 1)
         self.negative = tuple((u, v, c) for u, v, sign, c in edges if sign == -1)
         self.all_positive = not self.negative
         self.types = vertex_types(self)
         self.mixed_types = len(set(self.types)) > 1
-        self.patterns = sign_patterns(self)
-        self.mixed_patterns = len(set(self.patterns)) > 1
+        self.mixed_patterns = len(set(sign_patterns(self))) > 1
         self.loops = frozenset(loop_vertices(self))
         self.loop_counts = tuple(loops_per_vertex(self))
         self.pair_cover = opposite_pair_cover(self)
@@ -273,9 +270,11 @@ def opposite_pair_cover(frame: Frame, exact=False):
 
 @dataclass(frozen=True)
 class Rule:
-    """One pruning rule.  ``stage`` is what ``fn`` reads: ``"frame"`` (the
-    class and parities only, so its verdict is the same at every offset
-    vector of a frame) or ``"offsets"`` (the shifts as well)."""
+    """One pruning rule.  ``fn(config)`` returns whether the rule eliminates
+    the configuration: exactly ``True`` or ``False``.  ``stage`` is what
+    ``fn`` reads: ``"frame"`` (the class and parities only, so its verdict
+    is the same at every offset vector of a frame) or ``"offsets"`` (the
+    shifts as well)."""
 
     name: str
     anchor: str
@@ -284,129 +283,72 @@ class Rule:
 
 
 def _r_all_positive(config):
-    if config.frame.all_positive:
-        return {"reason": "every family is positive, so every partner edge is negative"}
-    return None
+    return config.frame.all_positive
 
 
 def _r_positive_fixed_point(config):
     # a positive family's shift is o_u + o_v + c, and x -> shift - x fixes
     # some x when 2x = shift (mod t): always at odd t, and at even t exactly
-    # when the shift is even
+    # when the shift is even, which at even t is the parity of o_u + o_v + c
     frame, offsets = config.frame, config.offsets
-    t = frame.t
-    odd = t % 2
-    for i, u, v, c in frame.positive:
-        shift = (offsets[u] + offsets[v] + c) % t
-        if odd or not shift % 2:
-            return {
-                "family": i,
-                "shift": shift,
-                "partner_count": t,
-                "reason": "positive family induces an involution with a fixed point",
-            }
-    return None
+    odd = frame.t % 2
+    for u, v, c in frame.positive:
+        if odd or not (offsets[u] + offsets[v] + c) % 2:
+            return True
+    return False
 
 
 def _r_type_uniformity(config):
-    frame = config.frame
-    if frame.mixed_types:
-        return {"vertex_types": [list(x) for x in frame.types]}
-    return None
+    return config.frame.mixed_types
 
 
 def _r_pattern_uniformity(config):
-    frame = config.frame
-    if frame.mixed_patterns:
-        return {"sign_patterns": [list(p) for p in frame.patterns]}
-    return None
+    return config.frame.mixed_patterns
 
 
 def _r_loop_propagation(config):
     frame = config.frame
-    lv = frame.loops
-    s = len(frame.parities)
-    if lv and len(lv) < s:
-        return {"looped_vertices": sorted(lv), "vertices": s}
-    return None
+    return 0 < len(frame.loops) < len(frame.parities)
 
 
 def _r_two_cycle_cover(config):
+    # the all-positive rule handles an all-positive frame; an odd vertex
+    # count has no pair cover
     frame = config.frame
-    if frame.all_positive:
-        return None  # handled by the all-positive rule
-    s = len(frame.parities)
-    if s % 2:
-        return {
-            "vertices": s,
-            "reason": "a full-size positive partner family needs an even count here",
-        }
-    if frame.pair_cover is None:
-        return {
-            "reason": "no pairing of opposite-parity vertices joined by two edges",
-        }
-    return None
+    return not frame.all_positive and frame.pair_cover is None
 
 
 def _r_positive_structure_no_loops(config):
     frame = config.frame
-    if frame.loops:
-        return None
-    p, n = frame.types[0]
-    if p >= 3:
-        return {
-            "positive_per_vertex": p,
-            "reason": "loopless graph keeps >2 positive non-loop edges at every vertex",
-        }
-    return None
+    return not frame.loops and frame.types[0][0] >= 3
 
 
 def _r_partner_positive_structure(config):
     p, n = config.frame.types[0]
     if p == 0:
-        return None  # all-negative configurations cannot be built at all
-    t_looped = partner_has_loops(config)
-    if not t_looped and n >= 3:
-        return {
-            "partner_positive_per_vertex": n,
-            "partner_loops": False,
-            "reason": "loopless partner needs a vertex with at most two positive edges",
-        }
-    if t_looped and (n, p) not in ((4, 2), (2, 4)):
-        return {
-            "partner_type": [n, p],
-            "partner_loops": True,
-            "reason": "looped partner is forced into the loop-plus-two-cycle form",
-        }
-    return None
+        return False  # all-negative configurations cannot be built at all
+    # a looped partner is forced into the loop-plus-two-cycle form, and a
+    # loopless one needs a vertex with at most two positive edges
+    if partner_has_loops(config):
+        return (n, p) not in ((4, 2), (2, 4))
+    return n >= 3
 
 
 def _r_loop_cover_form(config):
     frame = config.frame
     if not frame.loops:
-        return None
-    counts = frame.loop_counts
-    if any(c != 1 for c in counts):
-        return {"loops_per_vertex": list(counts)}
-    if frame.exact_pair_cover is None:
-        return {
-            "reason": "no opposite-parity pairing by exactly two edges",
-        }
-    return None
+        return False
+    return any(c != 1 for c in frame.loop_counts) or frame.exact_pair_cover is None
 
 
 def _r_endgame(config):
+    # split (4,2) in the loop-plus-two-cycle chain, or split (2,4) facing a
+    # looped partner
     frame = config.frame
     p, n = frame.types[0]
-    looped = bool(frame.loops)
-    if (p, n) == (4, 2) and looped:
-        return {"shape": "loop-plus-two-cycle chain, split (4,2)"}
-    if (p, n) == (2, 4) and partner_has_loops(config):
-        return {
-            "shape": "split (2,4) facing a loop-plus-two-cycle partner",
-            "looped": looped,
-        }
-    return None
+    if (p, n) == (4, 2):
+        return bool(frame.loops)
+    return (p, n) == (2, 4) and partner_has_loops(config)
 
 
 # rule 2 of the generic chain, and the second rule of the two-vertex chain
@@ -501,11 +443,7 @@ _GENERIC_RULES = [
 # -- two-boundary chain -------------------------------------------------------
 # The later rules rely on two-vertex-standard-form.  FatGraph.edge_ends puts
 # the lower vertex first, so the four connectors are one edge (0, 1, p0 * p1,
-# -p1), and the loops are positive, so frame.all_positive gives its sign.  The
-# size-bound witnesses depend on no configuration.
-_TWO_VERTEX_BOUND = negative_size_bound(2, allow_exceptional=True)
-_LOOP_ORBIT_WITNESS = _TWO_VERTEX_BOUND.check(6, delta=6).witness
-_STACKED_WITNESS = _TWO_VERTEX_BOUND.check(4, delta=6).witness
+# -p1), and the loops are positive, so frame.all_positive gives its sign.
 
 
 def _r_two_vertex_form(config):
@@ -521,60 +459,31 @@ def _r_two_vertex_form(config):
     m = frame.graph.matching
     if 3 not in (m[0] - 0, m[1] - 1, m[2] - 2) or 3 not in (m[6] - 6, m[7] - 7, m[8] - 8):
         raise InvariantViolation("one antipodal loop at each vertex expected")
-    return None
+    return False
 
 
 def _r_connector_equals_loop(config):
     frame, offsets = config
     if not frame.all_positive:
-        return None
+        return False
     t = frame.t
     conn = next(e for e in frame.edges if e[0] != e[1])
     shift = edge_shift(conn, offsets, t)
-    if any(e[0] == e[1] and edge_shift(e, offsets, t) == shift for e in frame.edges):
-        return {
-            "partner_family_size": 6,
-            "bound_check": _LOOP_ORBIT_WITNESS,
-            "reason": "partner graph generated by one loop orbit: negative"
-            " families of size six",
-        }
-    return None
+    return any(e[0] == e[1] and edge_shift(e, offsets, t) == shift for e in frame.edges)
 
 
 def _r_connector_identity(config):
     frame, offsets = config
     conn = next(e for e in frame.edges if e[0] != e[1])
-    if induces_identity(conn[2], edge_shift(conn, offsets, frame.t), frame.t):
-        return {
-            "reason": "identity connector makes the partner orbit subgraph a"
-            " union of loop-plus-2-cycle components, against the jumping-number"
-            " distribution",
-        }
-    return None
+    return induces_identity(conn[2], edge_shift(conn, offsets, frame.t), frame.t)
 
 
 def _r_connector_generic_positive(config):
-    if config.frame.all_positive:
-        return {
-            "partner_family_size": 4,
-            "bound_check": _STACKED_WITNESS,
-            "reason": "one member of each connecting family stacks into a"
-            " negative partner family of size four",
-        }
-    return None
+    return config.frame.all_positive
 
 
 def _r_connector_generic_klein(config):
-    if not config.frame.all_positive:
-        return {
-            "partner_positive_size": 4,
-            "s_cycles_per_family": 3,
-            "reason": "neutral sides with size-four positive partner families;"
-            " their S-cycle faces regenerate the configuration from a punctured"
-            " Klein bottle whose full-size negative families induce the"
-            " identity, contradicting a non-identity connector",
-        }
-    return None
+    return not config.frame.all_positive
 
 
 _TWO_VERTEX_RULES = [
@@ -627,22 +536,12 @@ _TWO_VERTEX_RULES = [
 # -- one-boundary chain -------------------------------------------------------
 
 
-_ONE_VERTEX_BOUND = negative_size_bound(1, allow_exceptional=True)
-_ONE_VERTEX_WITNESS = _ONE_VERTEX_BOUND.check(3, delta=6).witness
-
-
 def _r_one_vertex_neg_size(config):
     # the three loops of a one-vertex graph are one edge (0, 0, 1, -p0), so
     # they induce one permutation at every offset vector
     if len(config.frame.edges) != 3:
         raise InvariantViolation("one-vertex form expected")
-    return {
-        "partner_family_size": 3,
-        "bound": _ONE_VERTEX_BOUND.bound,
-        "bound_check": _ONE_VERTEX_WITNESS,
-        "reason": "all three loop families induce one involution, stacking into"
-        " partner families of size three over bound two",
-    }
+    return True
 
 
 _ONE_VERTEX_RULES = [
@@ -848,7 +747,7 @@ def _enumerate_case(params: CaseParams, workers):
     for cls in classes:
         for config in iter_configs(cls, t):
             for k, fn in enumerate(fns):
-                if fn(config) is not None:
+                if fn(config):
                     eliminated[k] += 1
                     break
             else:

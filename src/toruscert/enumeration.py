@@ -83,6 +83,14 @@ def _send_share(conn, share):
     conn.send(result)
 
 
+def _usable_cores():
+    """The cores this process may run on; where the platform cannot say
+    which (macOS, Windows), the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _search_all(seqs, workers):
     """The reduced classes of each sequence of ``seqs``, in order.
 
@@ -100,7 +108,9 @@ def _search_all(seqs, workers):
     edges takes 67 ms in process and 36 ms split with one child (medians of
     15 calls, two cores, CPython 3.11)."""
     # more processes than cores or sequences would only wait
-    size = min(workers, len(os.sched_getaffinity(0)), len(seqs))
+    size = min(workers, len(seqs))
+    if size > 1:
+        size = min(size, _usable_cores())
     if size <= 1 or len(seqs[0]) <= 2:
         return [_reduced_classes(seq) for seq in seqs]
     ctx = multiprocessing.get_context("fork")

@@ -67,7 +67,7 @@ def loads(text: str) -> EmbeddedGraph:
     positions = {}
     for v in sorted(vertex_rows):
         for slot, ref in enumerate(vertex_rows[v][1]):
-            if not ref.startswith("e"):
+            if not (ref.startswith("e") and ref[1:].isdecimal()):
                 raise GraphError(f"bad edge reference {ref!r} at vertex {v}")
             positions.setdefault(int(ref[1:]), []).append((v, slot))
     for eid, (sign, end_a, end_b) in sorted(edge_rows.items()):

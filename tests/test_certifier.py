@@ -18,8 +18,8 @@ from toruscert.certifier import (
     distance_forcing,
     iter_configs,
     make_config,
+    sign_patterns,
 )
-from toruscert.constraints import negative_size_bound
 from toruscert.embedded import expand_decorated, reduce_graph
 from toruscert.enumeration import enumerate_reduced_torus_graphs
 from toruscert.errors import InvariantViolation, ScaleLimit
@@ -356,17 +356,17 @@ def _assert_frames_agree(classes, t):
             seen += 1
             frame = config.frame
             assert (
-                frame.types, frame.patterns, frame.loops, frame.loop_counts,
+                frame.types, sign_patterns(frame), frame.loops, frame.loop_counts,
                 frame.pair_cover, frame.exact_pair_cover,
             ) == reference_views(config, cls)
             families = config.describe()["families"]
             signs = [f["sign"] for f in families]
             assert frame.all_positive == all(x == 1 for x in signs)
             assert frame.mixed_types == (len(set(frame.types)) > 1)
-            assert frame.mixed_patterns == (len(set(frame.patterns)) > 1)
+            assert frame.mixed_patterns == (len(set(sign_patterns(frame))) > 1)
             p, o = frame.parities, config.offsets
             assert frame.positive == tuple(
-                (i, u, v, -p[v]) for i, (u, v) in enumerate(ends) if signs[i] == 1
+                (u, v, -p[v]) for i, (u, v) in enumerate(ends) if signs[i] == 1
             )
             assert frame.negative == tuple(
                 (u, v, -p[v]) for i, (u, v) in enumerate(ends) if signs[i] == -1
@@ -416,7 +416,7 @@ def test_two_vertex_rules_check_the_standard_form(break_edges):
     rule = certifier.build_chain(2)[0]
     classes = enumerate_reduced_torus_graphs(2, degrees=(6, 6))
     config = next(iter_configs(classes[0], 4))
-    assert rule.fn(config) is None  # the frame as built passes
+    assert rule.fn(config) is False  # the frame as built passes
     config.frame.edges = break_edges(config.frame.edges)
     with pytest.raises(InvariantViolation, match="two-vertex standard form expected"):
         rule.fn(config)
@@ -435,7 +435,7 @@ def test_two_vertex_standard_form_checks_the_graph(matching, message):
     cls, = enumerate_reduced_torus_graphs(2, degrees=(6, 6))
     assert cls.matching == (3, 6, 7, 0, 9, 10, 1, 2, 11, 4, 5, 8)
     for config in iter_configs(cls, 4):
-        assert rule.fn(config) is None
+        assert rule.fn(config) is False
     graph = FatGraph((6, 6), matching)
     for parities in ((1, 1), (1, -1)):
         config = make_config(Frame(graph, b"", parities, 4), (0, 1))
@@ -456,7 +456,7 @@ def test_one_vertex_rule_checks_the_form():
     classes = enumerate_reduced_torus_graphs(1, degrees=(6,))
     rule, = certifier.build_chain(1)
     config = next(iter_configs(classes[0], 3))
-    assert rule.fn(config)["partner_family_size"] == 3
+    assert rule.fn(config) is True
     config.frame.edges = config.frame.edges[:2]
     with pytest.raises(InvariantViolation, match="one-vertex form expected"):
         rule.fn(config)
@@ -516,15 +516,8 @@ def _has_fixed_point(f, t):
 
 def eager_positive_fixed_point(config):
     # the rule read from the families
-    for f in config.families:
-        if f.sign == 1 and _has_fixed_point(f, config.frame.t):
-            return {
-                "family": f.index,
-                "shift": f.shift,
-                "partner_count": config.frame.t,
-                "reason": "positive family induces an involution with a fixed point",
-            }
-    return None
+    t = config.frame.t
+    return any(f.sign == 1 and _has_fixed_point(f, t) for f in config.families)
 
 
 def eager_partner_has_loops(config):
@@ -553,53 +546,22 @@ def _eager_connector_split(config):
 
 def eager_connector_equals_loop(config):
     loops, conn = _eager_connector_split(config)
-    if conn.sign == 1 and any(_perm_of(conn, config) == _perm_of(lp, config) for lp in loops):
-        bound = negative_size_bound(2, allow_exceptional=True)
-        return {
-            "partner_family_size": 6,
-            "bound_check": bound.check(6, delta=6).witness,
-            "reason": "partner graph generated by one loop orbit: negative"
-            " families of size six",
-        }
-    return None
+    return conn.sign == 1 and any(_perm_of(conn, config) == _perm_of(lp, config) for lp in loops)
 
 
 def eager_connector_identity(config):
     _, conn = _eager_connector_split(config)
-    if _is_identity(conn, config.frame.t):
-        return {
-            "reason": "identity connector makes the partner orbit subgraph a"
-            " union of loop-plus-2-cycle components, against the jumping-number"
-            " distribution",
-        }
-    return None
+    return _is_identity(conn, config.frame.t)
 
 
 def eager_connector_generic_positive(config):
     _, conn = _eager_connector_split(config)
-    if conn.sign == 1:
-        bound = negative_size_bound(2, allow_exceptional=True)
-        return {
-            "partner_family_size": 4,
-            "bound_check": bound.check(4, delta=6).witness,
-            "reason": "one member of each connecting family stacks into a"
-            " negative partner family of size four",
-        }
-    return None
+    return conn.sign == 1
 
 
 def eager_connector_generic_klein(config):
     _, conn = _eager_connector_split(config)
-    if conn.sign == -1:
-        return {
-            "partner_positive_size": 4,
-            "s_cycles_per_family": 3,
-            "reason": "neutral sides with size-four positive partner families;"
-            " their S-cycle faces regenerate the configuration from a punctured"
-            " Klein bottle whose full-size negative families induce the"
-            " identity, contradicting a non-identity connector",
-        }
-    return None
+    return conn.sign == -1
 
 
 def eager_one_vertex_neg_size(config):
@@ -609,14 +571,7 @@ def eager_one_vertex_neg_size(config):
         raise InvariantViolation("one-vertex form expected")
     if len({_perm_of(f, config) for f in loops}) != 1:
         raise InvariantViolation("the three loop families must induce one permutation")
-    bound = negative_size_bound(1, allow_exceptional=True)
-    return {
-        "partner_family_size": 3,
-        "bound": bound.bound,
-        "bound_check": bound.check(3, delta=6).witness,
-        "reason": "all three loop families induce one involution, stacking into"
-        " partner families of size three over bound two",
-    }
+    return True
 
 
 # the reference of every rule that reads shifts, or whose form check on
@@ -644,15 +599,17 @@ EAGER_CASES = [(s, t) for s in (1, 2, 3) for t in (3, 4, 5, 6)] + [(4, 4), (4, 5
 @pytest.mark.parametrize("s,t", EAGER_CASES)
 def test_decoration_on_demand_matches_eager_reference(monkeypatch, s, t):
     # every rule is run on every configuration, not only on those the chain
-    # passes to it, and returns what it returns on the eager record, where
-    # the fixed points, the partner loops and the permutations the small
-    # chains compare are found by brute force over the families; odd t is
-    # included, as the inline rule 2 branches on t % 2
+    # passes to it, and returns exactly True or False, the same verdict it
+    # returns on the eager record, where the fixed points, the partner loops
+    # and the permutations the small chains compare are found by brute force
+    # over the families; odd t is included, as the inline rule 2 branches on
+    # t % 2
     classes = enumerate_reduced_torus_graphs(s, degrees=(6,) * s)
     chain = certifier.build_chain(s)
     configs = [c for cls in classes for c in iter_configs(cls, t)]
     eager = [eager_make_config(c.frame, c.offsets) for c in configs]
     got = [[_outcome(rule.fn, c) for rule in chain] for c in configs]
+    assert all(verdict is True or verdict is False for row in got for verdict in row)
     for config, ref in zip(configs, eager):
         assert config.describe() == ref.describe()
     monkeypatch.setattr(certifier, "partner_has_loops", eager_partner_has_loops)

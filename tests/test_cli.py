@@ -165,8 +165,13 @@ def test_lemma_with_graph_file(tmp_path, runner):
 @pytest.mark.parametrize("command", ["degree-face", "s-cycles"])
 @pytest.mark.parametrize(
     "text",
-    ["v0 + : e0 e1 e0 e1\ne0 + (0,0,0)-(0,2,1)\ne1 + (0,1,2)-(0,3,2)\n", "v0 + :\n"],
-    ids=["label-0", "no-edges"],
+    [
+        "v0 + : e0 e1 e0 e1\ne0 + (0,0,0)-(0,2,1)\ne1 + (0,1,2)-(0,3,2)\n",
+        "v0 + :\n",
+        "v0 + : e0 ex e0 e1\ne0 + (0,0,1)-(0,2,1)\ne1 + (0,1,2)-(0,3,2)\n",
+        "v0 + : e0 e e0 e1\ne0 + (0,0,1)-(0,2,1)\ne1 + (0,1,2)-(0,3,2)\n",
+    ],
+    ids=["label-0", "no-edges", "edge-reference-ex", "edge-reference-e"],
 )
 def test_lemma_rejects_malformed_graph_file(tmp_path, capsys, command, text):
     # a content fault in a graph file is a rejected graph, not a usage error

@@ -6,6 +6,7 @@ import signal
 
 import pytest
 
+from tests.test_golden import golden_path
 from toruscert import enumeration, verify
 from toruscert.certifier import certify_case
 from toruscert.cli import main
@@ -185,6 +186,19 @@ def test_a_child_invariant_violation_exits_3(two_cores, deadline, monkeypatch):
     monkeypatch.setattr(enumeration, "_reduced_classes", reduced_classes)
     assert main(["verify-all", "--workers", "2"]) == 3
     assert multiprocessing.active_children() == []
+
+
+def test_sweeps_run_where_cores_cannot_be_read(process_counts, monkeypatch):
+    # macOS and Windows have no sched_getaffinity: one worker never asks
+    # for the cores, and more workers count the machine's
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    got = certify_case(CaseParams(3, 3, 6)).to_json()
+    assert got.encode() == golden_path(3, 3).read_bytes()
+    one = enumerate_reduced_torus_graphs(3, max_edges=6)
+    assert process_counts == []
+    assert enumerate_reduced_torus_graphs(3, max_edges=6, workers=2) == one
+    assert process_counts == [2]
 
 
 def test_small_sweeps_never_start_a_pool(monkeypatch):

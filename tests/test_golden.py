@@ -26,7 +26,7 @@ import pytest
 
 from tests.test_certifier import certify_truncated
 from tests.test_kernel import SHAPES
-from toruscert import certifier, constraints, kernel
+from toruscert import kernel
 from toruscert.certifier import certify_case
 from toruscert.enumeration import degree_sequences
 from toruscert.params import NEUTRAL, POLARIZED, CaseParams
@@ -119,18 +119,6 @@ def truncated_payload(s, t, limit):
 
 @pytest.mark.parametrize("s,t", CASES)
 def test_payload_matches_golden(s, t):
-    assert payload(s, t).encode() == golden_path(s, t).read_bytes()
-
-
-@pytest.mark.parametrize("s,t", [(1, 3), (2, 4), (2, 6)])
-def test_small_chains_build_no_witness_while_certifying(monkeypatch, s, t):
-    # the size-bound witnesses of the one- and two-vertex chains are built
-    # at import, so no rule rescans the Klein slopes while a case runs
-    def refuse(*args, **kwargs):
-        raise AssertionError("size-bound witness rebuilt while certifying")
-
-    monkeypatch.setattr(certifier, "negative_size_bound", refuse)
-    monkeypatch.setattr(constraints, "scan_klein_slopes", refuse)
     assert payload(s, t).encode() == golden_path(s, t).read_bytes()
 
 
