@@ -24,11 +24,17 @@ is built once per class and parity vector, before the offsets vary.  It
 holds its graph, every edge's ends, sign and the offset-free part of its
 shift, and the derived views the rules read (vertex types, whether the sign
 patterns differ, loops, opposite-parity pair covers), which are computed
-from those edges alone.  A configuration is only its frame and its offsets:
-:func:`make_config` pairs them, and nothing else is stored.  Each rule
-declares whether it reads the ``frame`` alone or the ``offsets`` too, and
-the offset rules compute from the frame's edges only the shifts they read.
-Each rule still runs once for every configuration it is applied to.
+from those edges alone.  A configuration is the plain pair ``(frame,
+offsets)`` that :func:`make_config` returns, and :func:`describe` reports
+one as a survivor sample.  Each rule declares whether it reads the
+``frame`` alone or the ``offsets`` too, and the offset rules compute from
+the frame's edges only the shifts they read.
+
+The configurations of a frame are decided in batches of at most
+``_BATCH``, in enumeration order: each rule in chain order keeps the part
+of the batch it does not eliminate, so first match wins, survivors keep
+their order, and each rule still runs once for every configuration it is
+applied to.  No verdict is shared between configurations.
 
 Every rule's ``anchor`` is the one-line mathematical justification recorded
 in the certificate, making the trust boundary of axiom-backed rules
@@ -41,7 +47,6 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from toruscert._version import ENGINE_NAME, ENGINE_VERSION
 from toruscert.enumeration import enumerate_reduced_torus_graphs
@@ -76,34 +81,24 @@ def induces_identity(sign, shift, t):
     return t <= 2 and shift % t == 0
 
 
-class Config(NamedTuple):
-    """A decorated candidate: a :class:`Frame` (graph class + vertex
-    parities) and a tuple of label offsets, one per vertex."""
-
-    frame: Frame
-    offsets: tuple
-
-    def describe(self):
-        frame, offsets = self
-        return {
-            "graph": frame.graph_key.hex(),
-            "parities": list(frame.parities),
-            "offsets": list(offsets),
-            "families": [
-                {
-                    "edge": i,
-                    "ends": [edge[0], edge[1]],
-                    "sign": edge[2],
-                    "shift": edge_shift(edge, offsets, frame.t),
-                }
-                for i, edge in enumerate(frame.edges)
-            ],
-        }
-
-
-# builds a record from a field tuple without the keyword handling of the
-# NamedTuple constructor; make_config runs once per configuration
-_record = tuple.__new__
+def describe(config):
+    """The survivor sample of ``config``: its graph, parities, offsets and
+    every edge's ends, sign and shift."""
+    frame, offsets = config
+    return {
+        "graph": frame.graph_key.hex(),
+        "parities": list(frame.parities),
+        "offsets": list(offsets),
+        "families": [
+            {
+                "edge": i,
+                "ends": [edge[0], edge[1]],
+                "sign": edge[2],
+                "shift": edge_shift(edge, offsets, frame.t),
+            }
+            for i, edge in enumerate(frame.edges)
+        ],
+    }
 
 
 class Frame:
@@ -113,14 +108,16 @@ class Frame:
     ``c = -p_v`` is the offset-free part of its shift (:func:`edge_shift`);
     it is the one record of an edge.  ``positive`` and ``negative`` hold
     ``(u, v, c)`` for each edge of that sign, for the rules that test every
-    shift of one sign.
+    shift of one sign, and ``positive_links`` holds ``(u, v)`` for each
+    positive edge that is not a loop, the edges whose shift parity rule 2
+    reads at even ``t``.
     The views read only the graph and the ends and signs of the edges, which
     no offset changes, so they are computed here once, on the frame itself.
     """
 
     __slots__ = (
         "graph", "graph_key", "parities", "t", "edges",
-        "all_positive", "positive", "negative", "types",
+        "all_positive", "positive", "positive_links", "negative", "types",
         "mixed_types", "mixed_patterns", "loops", "loop_counts",
         "pair_cover", "exact_pair_cover",
     )
@@ -136,6 +133,7 @@ class Frame:
             edges.append((u, v, sign, -parities[v]))
         self.edges = edges = tuple(edges)
         self.positive = tuple((u, v, c) for u, v, sign, c in edges if sign == 1)
+        self.positive_links = tuple((u, v) for u, v, _ in self.positive if u != v)
         self.negative = tuple((u, v, c) for u, v, sign, c in edges if sign == -1)
         self.all_positive = not self.negative
         self.types = vertex_types(self)
@@ -147,25 +145,10 @@ class Frame:
         self.exact_pair_cover = opposite_pair_cover(self, exact=True)
 
 
-def make_config(frame: Frame, offsets: tuple) -> Config:
-    """The configuration of ``frame`` at ``offsets``; nothing is computed."""
-    return _record(Config, (frame, offsets))
-
-
-def iter_configs(cls, t):
-    """All decorated configurations of one graph class, gauge fixed.
-
-    The first vertex's parity and offset are pinned (+1 and 0): a global
-    parity flip combined with a label reflection, and a global label shift,
-    act freely on configurations without changing any sign or permutation
-    structure.
-    """
-    graph = cls.graph()
-    s = graph.num_vertices
-    for rest_par in itertools.product((1, -1), repeat=s - 1):
-        frame = Frame(graph, cls.key, (1,) + rest_par, t)
-        for rest_off in itertools.product(range(t), repeat=s - 1):
-            yield make_config(frame, (0,) + rest_off)
+def make_config(frame: Frame, offsets: tuple):
+    """The configuration of ``frame`` at ``offsets``: the pair
+    ``(frame, offsets)``; nothing is computed."""
+    return (frame, offsets)
 
 
 # derived views ---------------------------------------------------------------
@@ -221,12 +204,12 @@ def loops_per_vertex(frame: Frame):
     return counts
 
 
-def partner_has_loops(config: Config):
+def partner_has_loops(config):
     """A partner loop is an arc with equal labels at both ends, i.e. a fixed
     point of some family's matching; positive families are already fixed
     point free when this is queried.  A negative family's shift is
     ``o_v + c - o_u``, and it has a fixed point exactly when that is 0 mod t."""
-    frame, offsets = config.frame, config.offsets
+    frame, offsets = config
     t = frame.t
     return any((offsets[v] + c - offsets[u]) % t == 0 for u, v, c in frame.negative)
 
@@ -283,48 +266,51 @@ class Rule:
 
 
 def _r_all_positive(config):
-    return config.frame.all_positive
+    return config[0].all_positive
 
 
 def _r_positive_fixed_point(config):
     # a positive family's shift is o_u + o_v + c, and x -> shift - x fixes
     # some x when 2x = shift (mod t): always at odd t, and at even t exactly
-    # when the shift is even, which at even t is the parity of o_u + o_v + c
-    frame, offsets = config.frame, config.offsets
-    odd = frame.t % 2
-    for u, v, c in frame.positive:
-        if odd or not (offsets[u] + offsets[v] + c) % 2:
+    # when the shift is even.  c = -p_v is odd, so at even t a positive loop
+    # (shift 2 o_u + c) never has one, and a positive link has one exactly
+    # when o_u and o_v differ in parity
+    frame, offsets = config
+    if frame.t % 2:
+        return bool(frame.positive)
+    for u, v in frame.positive_links:
+        if (offsets[u] ^ offsets[v]) & 1:
             return True
     return False
 
 
 def _r_type_uniformity(config):
-    return config.frame.mixed_types
+    return config[0].mixed_types
 
 
 def _r_pattern_uniformity(config):
-    return config.frame.mixed_patterns
+    return config[0].mixed_patterns
 
 
 def _r_loop_propagation(config):
-    frame = config.frame
+    frame = config[0]
     return 0 < len(frame.loops) < len(frame.parities)
 
 
 def _r_two_cycle_cover(config):
     # the all-positive rule handles an all-positive frame; an odd vertex
     # count has no pair cover
-    frame = config.frame
+    frame = config[0]
     return not frame.all_positive and frame.pair_cover is None
 
 
 def _r_positive_structure_no_loops(config):
-    frame = config.frame
+    frame = config[0]
     return not frame.loops and frame.types[0][0] >= 3
 
 
 def _r_partner_positive_structure(config):
-    p, n = config.frame.types[0]
+    p, n = config[0].types[0]
     if p == 0:
         return False  # all-negative configurations cannot be built at all
     # a looped partner is forced into the loop-plus-two-cycle form, and a
@@ -335,7 +321,7 @@ def _r_partner_positive_structure(config):
 
 
 def _r_loop_cover_form(config):
-    frame = config.frame
+    frame = config[0]
     if not frame.loops:
         return False
     return any(c != 1 for c in frame.loop_counts) or frame.exact_pair_cover is None
@@ -344,7 +330,7 @@ def _r_loop_cover_form(config):
 def _r_endgame(config):
     # split (4,2) in the loop-plus-two-cycle chain, or split (2,4) facing a
     # looped partner
-    frame = config.frame
+    frame = config[0]
     p, n = frame.types[0]
     if (p, n) == (4, 2):
         return bool(frame.loops)
@@ -449,7 +435,7 @@ _GENERIC_RULES = [
 def _r_two_vertex_form(config):
     # the degree-6 catalog at s = 2 is this one class, so a frame that
     # breaks the form is an engine fault, not an elimination
-    frame = config.frame
+    frame = config[0]
     edges = frame.edges
     if len(edges) != 6 or sum(u == v for u, v, _, _ in edges) != 2:
         raise InvariantViolation("two-vertex standard form expected")
@@ -479,11 +465,11 @@ def _r_connector_identity(config):
 
 
 def _r_connector_generic_positive(config):
-    return config.frame.all_positive
+    return config[0].all_positive
 
 
 def _r_connector_generic_klein(config):
-    return not config.frame.all_positive
+    return not config[0].all_positive
 
 
 _TWO_VERTEX_RULES = [
@@ -539,7 +525,7 @@ _TWO_VERTEX_RULES = [
 def _r_one_vertex_neg_size(config):
     # the three loops of a one-vertex graph are one edge (0, 0, 1, -p0), so
     # they induce one permutation at every offset vector
-    if len(config.frame.edges) != 3:
+    if len(config[0].edges) != 3:
         raise InvariantViolation("one-vertex form expected")
     return True
 
@@ -692,6 +678,11 @@ def certify_case(params: CaseParams, *, workers=1):
     return cert
 
 
+# the configurations of one frame that _enumerate_case holds at a time, so
+# its memory is bounded whatever the caps allow
+_BATCH = 4096
+
+
 def _enumerate_case(params: CaseParams, workers):
     """Enumeration mode needs ``delta >= 6`` and runs on the side whose
     partner count is at least 3, exchanging the sides when that is the first
@@ -744,16 +735,26 @@ def _enumerate_case(params: CaseParams, workers):
     eliminated = [0] * len(fns)
     survivors = 0
     samples = []
+    # the gauge is fixed: the first vertex's parity is +1 and its offset 0,
+    # since a global parity flip with a label reflection, and a global label
+    # shift, act freely on configurations without changing any sign or
+    # permutation structure
     for cls in classes:
-        for config in iter_configs(cls, t):
-            for k, fn in enumerate(fns):
-                if fn(config):
-                    eliminated[k] += 1
-                    break
-            else:
-                survivors += 1
-                if len(samples) < 5:
-                    samples.append(config.describe())
+        graph = cls.graph()
+        for rest_par in itertools.product((1, -1), repeat=s - 1):
+            frame = Frame(graph, cls.key, (1,) + rest_par, t)
+            offsets = itertools.product((0,), *[range(t)] * (s - 1))
+            # repeat comes first, so map stops without drawing an offset
+            # that would fall between two batches
+            while batch := list(map(make_config, itertools.repeat(frame, _BATCH), offsets)):
+                for k, fn in enumerate(fns):
+                    left = list(itertools.filterfalse(fn, batch))
+                    eliminated[k] += len(batch) - len(left)
+                    batch = left
+                    if not batch:
+                        break
+                survivors += len(batch)
+                samples += map(describe, batch[:5 - len(samples)])
     applied = survivors + sum(eliminated)
     for rule, gone in zip(chain, eliminated):
         log.append(_log_entry(rule.name, rule.anchor, applied, gone))

@@ -7,8 +7,9 @@ filters that need exact homology (no parallel pair, no trivial loop).  A
 sweep of three or more vertices is split into fixed shares: the calling
 process searches the first and forked children the rest, each sending its
 results back over a pipe.  Smaller sweeps gain little or nothing from a
-fork and run in process.  A pruning-free brute-force generator doubles as
-the completeness oracle at small scale.
+fork and run in process, and so does every sweep where the platform cannot
+fork.  A pruning-free brute-force generator doubles as the completeness
+oracle at small scale.
 """
 from __future__ import annotations
 
@@ -106,12 +107,13 @@ def _search_all(seqs, workers):
     two-vertex catalog takes 3.9 ms in process against 3.4 ms split with one
     child, a gain smaller than the fork itself.  The three-vertex sweep to 7
     edges takes 67 ms in process and 36 ms split with one child (medians of
-    15 calls, two cores, CPython 3.11)."""
+    15 calls, two cores, CPython 3.11).  Where the platform cannot fork
+    (Windows), every sweep runs in process."""
     # more processes than cores or sequences would only wait
     size = min(workers, len(seqs))
     if size > 1:
         size = min(size, _usable_cores())
-    if size <= 1 or len(seqs[0]) <= 2:
+    if size <= 1 or len(seqs[0]) <= 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [_reduced_classes(seq) for seq in seqs]
     ctx = multiprocessing.get_context("fork")
     children = []

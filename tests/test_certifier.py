@@ -15,8 +15,8 @@ from toruscert.certifier import (
     Frame,
     certify_case,
     derive_delta_bound,
+    describe,
     distance_forcing,
-    iter_configs,
     make_config,
     sign_patterns,
 )
@@ -86,8 +86,57 @@ def certify_truncated(params, limit):
         return certify_case(params, workers=1)
 
 
+def iter_configs(cls, t):
+    """All decorated configurations of one graph class, gauge fixed, one at a
+    time in enumeration order: the per-configuration reference of
+    ``_enumerate_case``, which decides them in batches.
+
+    The first vertex's parity and offset are pinned (+1 and 0): a global
+    parity flip combined with a label reflection, and a global label shift,
+    act freely on configurations without changing any sign or permutation
+    structure.
+    """
+    graph = cls.graph()
+    s = graph.num_vertices
+    for rest_par in itertools.product((1, -1), repeat=s - 1):
+        frame = Frame(graph, cls.key, (1,) + rest_par, t)
+        for rest_off in itertools.product(range(t), repeat=s - 1):
+            yield (frame, (0,) + rest_off)
+
+
+def reference_payload(cert, chain):
+    """The payload of ``cert`` with its rule counts, survivors and samples
+    found again by running ``chain`` on one configuration at a time, first
+    match wins; the params, notes and forcing entry are the certificate's."""
+    payload = cert.payload()
+    p = payload["params"]
+    s, t = (p["s"], p["t"]) if p["t"] >= 3 else (p["t"], p["s"])
+    eliminated = Counter()
+    survivors = []
+    for cls in enumerate_reduced_torus_graphs(s, degrees=(6,) * s):
+        for config in iter_configs(cls, t):
+            for rule in chain:
+                if rule.fn(config):
+                    eliminated[rule.name] += 1
+                    break
+            else:
+                survivors.append(config)
+    log = payload["constraint_log"][:1]
+    applied = len(survivors) + sum(eliminated.values())
+    for rule in chain:
+        log.append({
+            "name": rule.name, "anchor": rule.anchor,
+            "applied": applied, "eliminated": eliminated[rule.name],
+        })
+        applied -= eliminated[rule.name]
+    return dict(
+        payload, constraint_log=log, survivors=len(survivors),
+        survivor_samples=[describe(c) for c in survivors[:5]],
+    )
+
+
 def family_perm(family, t):
-    """The permutation of one family of ``Config.describe()``, built from the
+    """The permutation of one family of :func:`describe`, built from the
     shift it records: labels match by ``y = shift - sign * x`` (mod t), 0-based."""
     sign = family["sign"]
     return InducedPermutation(t, (family["shift"] + sign + 1) % t, sign)
@@ -102,7 +151,7 @@ def test_two_boundary_loop_permutations_are_conjugate():
         for parities in itertools.product((1,), (1, -1)):
             frame = Frame(graph, cls.key, parities, t)
             for offsets in itertools.product((0,), range(t)):
-                families = make_config(frame, offsets).describe()["families"]
+                families = describe(make_config(frame, offsets))["families"]
                 loops = [f for f in families if f["ends"][0] == f["ends"][1]]
                 conns = [f for f in families if f["ends"][0] != f["ends"][1]]
                 assert len(loops) == 2 and len(conns) == 4
@@ -183,6 +232,29 @@ def test_truncated_chain_reports_survivors_honestly():
     assert {"graph", "parities", "offsets", "families"} <= set(sample)
 
 
+DEFAULT_BATCH = certifier._BATCH
+DESK_GRID = [(s, t) for s in range(1, 5) for t in range(1, 7) if max(s, t) > 2]
+
+
+@pytest.mark.parametrize("s,t", DESK_GRID + [(s, 64) for s in (1, 2, 3)])
+def test_batches_match_the_per_configuration_loop(monkeypatch, s, t):
+    # each cut of the chain, from no rule to all of them, against the
+    # reference; batches of 1 and 7 put survivors and eliminations on both
+    # sides of a batch boundary
+    monkeypatch.setenv("TORUSCERT_MAX_T", "64")
+    params = CaseParams(s, t, 6)
+    full = certifier.build_chain(s if t >= 3 else t)
+    survivors = []
+    for limit in range(len(full) + 1):
+        want = reference_payload(certify_truncated(params, limit), full[:limit])
+        survivors.append(want["survivors"])
+        for batch in (1, 7, DEFAULT_BATCH):
+            monkeypatch.setattr(certifier, "_BATCH", batch)
+            assert certify_truncated(params, limit).payload() == want, (limit, batch)
+    # with no rule every configuration survives, and the full chain leaves none
+    assert survivors[0] > 0 and survivors[-1] == 0
+
+
 @pytest.mark.parametrize("s,t", [(1, 3), (2, 4), (3, 4)])
 def test_applied_counts_match_calls(monkeypatch, s, t):
     # every configuration is built once, and every rule runs once for each
@@ -254,7 +326,7 @@ def test_decorated_model_matches_member_level_graphs():
                 for offsets in itertools.product(range(t), repeat=s):
                     if offsets[0] != 0:
                         continue
-                    families = make_config(frame, offsets).describe()["families"]
+                    families = describe(make_config(frame, offsets))["families"]
                     red = reduce_graph(expand_decorated(g, t, parities, offsets))
                     assert red.graph.canonical_key() == cls.key
                     assert len(red.families) == len(families)
@@ -296,8 +368,8 @@ def reference_views(config, cls):
     families and, for the sign patterns, from the rotation system of its
     class, as ``(types, patterns, loops, loop_counts, pair_cover,
     exact_pair_cover)``."""
-    families = eager_make_config(config.frame, config.offsets).families
-    parities = config.frame.parities
+    families = eager_make_config(*config).families
+    parities = config[0].parities
     s = len(parities)
     pos, neg, loop_counts = [0] * s, [0] * s, [0] * s
     joins = Counter()
@@ -354,19 +426,22 @@ def _assert_frames_agree(classes, t):
         seen = 0
         for config in iter_configs(cls, t):
             seen += 1
-            frame = config.frame
+            frame, o = config
             assert (
                 frame.types, sign_patterns(frame), frame.loops, frame.loop_counts,
                 frame.pair_cover, frame.exact_pair_cover,
             ) == reference_views(config, cls)
-            families = config.describe()["families"]
+            families = describe(config)["families"]
             signs = [f["sign"] for f in families]
             assert frame.all_positive == all(x == 1 for x in signs)
             assert frame.mixed_types == (len(set(frame.types)) > 1)
             assert frame.mixed_patterns == (len(set(sign_patterns(frame))) > 1)
-            p, o = frame.parities, config.offsets
+            p = frame.parities
             assert frame.positive == tuple(
                 (u, v, -p[v]) for i, (u, v) in enumerate(ends) if signs[i] == 1
+            )
+            assert frame.positive_links == tuple(
+                (u, v) for i, (u, v) in enumerate(ends) if signs[i] == 1 and u != v
             )
             assert frame.negative == tuple(
                 (u, v, -p[v]) for i, (u, v) in enumerate(ends) if signs[i] == -1
@@ -417,7 +492,8 @@ def test_two_vertex_rules_check_the_standard_form(break_edges):
     classes = enumerate_reduced_torus_graphs(2, degrees=(6, 6))
     config = next(iter_configs(classes[0], 4))
     assert rule.fn(config) is False  # the frame as built passes
-    config.frame.edges = break_edges(config.frame.edges)
+    frame = config[0]
+    frame.edges = break_edges(frame.edges)
     with pytest.raises(InvariantViolation, match="two-vertex standard form expected"):
         rule.fn(config)
 
@@ -457,7 +533,8 @@ def test_one_vertex_rule_checks_the_form():
     rule, = certifier.build_chain(1)
     config = next(iter_configs(classes[0], 3))
     assert rule.fn(config) is True
-    config.frame.edges = config.frame.edges[:2]
+    frame = config[0]
+    frame.edges = frame.edges[:2]
     with pytest.raises(InvariantViolation, match="one-vertex form expected"):
         rule.fn(config)
 
@@ -607,11 +684,11 @@ def test_decoration_on_demand_matches_eager_reference(monkeypatch, s, t):
     classes = enumerate_reduced_torus_graphs(s, degrees=(6,) * s)
     chain = certifier.build_chain(s)
     configs = [c for cls in classes for c in iter_configs(cls, t)]
-    eager = [eager_make_config(c.frame, c.offsets) for c in configs]
+    eager = [eager_make_config(*c) for c in configs]
     got = [[_outcome(rule.fn, c) for rule in chain] for c in configs]
     assert all(verdict is True or verdict is False for row in got for verdict in row)
     for config, ref in zip(configs, eager):
-        assert config.describe() == ref.describe()
+        assert describe(config) == ref.describe()
     monkeypatch.setattr(certifier, "partner_has_loops", eager_partner_has_loops)
     want = [
         [_outcome(EAGER_RULES.get(rule.fn, rule.fn), c) for rule in chain]
@@ -629,7 +706,7 @@ def test_frame_rules_ignore_offsets(s, t):
     assert {rule.stage for rule in chain} <= {"frame", "offsets"}
     rules = [rule for rule in chain if rule.stage == "frame"]
     for cls in classes:
-        for frame, group in itertools.groupby(iter_configs(cls, t), lambda c: c.frame):
+        for frame, group in itertools.groupby(iter_configs(cls, t), lambda c: c[0]):
             group = list(group)
             assert len(group) == t ** (s - 1)
             for rule in rules:

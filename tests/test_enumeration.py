@@ -201,6 +201,18 @@ def test_sweeps_run_where_cores_cannot_be_read(process_counts, monkeypatch):
     assert process_counts == [2]
 
 
+def test_sweeps_run_in_process_where_fork_is_missing(monkeypatch):
+    # Windows offers only the spawn start method, which has no fork context
+    def get_context(method):
+        raise AssertionError("a fork context was asked for")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    one = enumerate_reduced_torus_graphs(3, max_edges=6)
+    assert enumerate_reduced_torus_graphs(3, max_edges=6, workers=2) == one
+
+
 def test_small_sweeps_never_start_a_pool(monkeypatch):
     # splitting a sweep of one or two vertices gains less than a fork
     # costs, so no worker count makes it fork

@@ -3,7 +3,7 @@
 The files under ``tests/golden/`` hold ``certify_case(...).to_json()`` with
 one worker for the cases below: enumeration at distance 6 (all three rule
 chains), the counting-mode cases, and a truncated chain whose survivors put
-``Config.describe()`` samples in the payload.  A change that alters a
+``describe(config)`` samples in the payload.  A change that alters a
 payload on purpose regenerates them with
 ``PYTHONPATH=src python -m tests.test_golden`` and says why in its notes.
 
