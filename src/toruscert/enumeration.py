@@ -92,6 +92,15 @@ def _usable_cores():
     return os.cpu_count() or 1
 
 
+def _split_size(workers):
+    """The processes a sweep of three or more vertices is split over at
+    ``workers``: at most one per usable core, and 1 (in this process) where
+    the platform cannot fork (Windows)."""
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return min(workers, _usable_cores())
+
+
 def _search_all(seqs, workers):
     """The reduced classes of each sequence of ``seqs``, in order.
 
@@ -110,10 +119,8 @@ def _search_all(seqs, workers):
     15 calls, two cores, CPython 3.11).  Where the platform cannot fork
     (Windows), every sweep runs in process."""
     # more processes than cores or sequences would only wait
-    size = min(workers, len(seqs))
-    if size > 1:
-        size = min(size, _usable_cores())
-    if size <= 1 or len(seqs[0]) <= 2 or "fork" not in multiprocessing.get_all_start_methods():
+    size = min(_split_size(workers), len(seqs))
+    if size <= 1 or len(seqs[0]) <= 2:
         return [_reduced_classes(seq) for seq in seqs]
     ctx = multiprocessing.get_context("fork")
     children = []

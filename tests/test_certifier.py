@@ -234,13 +234,20 @@ def test_truncated_chain_reports_survivors_honestly():
 
 DEFAULT_BATCH = certifier._BATCH
 DESK_GRID = [(s, t) for s in range(1, 5) for t in range(1, 7) if max(s, t) > 2]
+# cuts of the chain whose five survivor samples come from two parity frames
+# of the one two-vertex class, so a loop that took the samples in the order
+# it decides the frames, chunk by chunk, would interleave them
+SAMPLES_FROM_TWO_FRAMES = {(2, 3): 0, (2, 6): 2, (4, 2): 3}
 
 
 @pytest.mark.parametrize("s,t", DESK_GRID + [(s, 64) for s in (1, 2, 3)])
 def test_batches_match_the_per_configuration_loop(monkeypatch, s, t):
     # each cut of the chain, from no rule to all of them, against the
-    # reference; batches of 1 and 7 put survivors and eliminations on both
-    # sides of a batch boundary
+    # reference.  Every frame of a class is decided over one chunk of
+    # offsets before the next chunk is drawn: chunks of 1 and 7 put
+    # survivors and eliminations on both sides of a chunk boundary, and
+    # chunks of 1000 split the 4,096 offset vectors of a (3, 64) frame
+    # into four full chunks and a partial one
     monkeypatch.setenv("TORUSCERT_MAX_T", "64")
     params = CaseParams(s, t, 6)
     full = certifier.build_chain(s if t >= 3 else t)
@@ -248,17 +255,27 @@ def test_batches_match_the_per_configuration_loop(monkeypatch, s, t):
     for limit in range(len(full) + 1):
         want = reference_payload(certify_truncated(params, limit), full[:limit])
         survivors.append(want["survivors"])
-        for batch in (1, 7, DEFAULT_BATCH):
+        for batch in (1, 7, 1000, DEFAULT_BATCH):
             monkeypatch.setattr(certifier, "_BATCH", batch)
             assert certify_truncated(params, limit).payload() == want, (limit, batch)
+        if SAMPLES_FROM_TWO_FRAMES.get((s, t)) == limit:
+            samples = want["survivor_samples"]
+            assert len(samples) == 5 and len({x["graph"] for x in samples}) == 1
+            # two frames, the first one's survivors all before the second's
+            runs = [tuple(p) for p, _ in itertools.groupby(x["parities"] for x in samples)]
+            assert len(runs) == len(set(runs)) == 2
     # with no rule every configuration survives, and the full chain leaves none
     assert survivors[0] > 0 and survivors[-1] == 0
 
 
-@pytest.mark.parametrize("s,t", [(1, 3), (2, 4), (3, 4)])
+@pytest.mark.parametrize("s,t", [(1, 3), (2, 4), (3, 4), (3, 64)])
 def test_applied_counts_match_calls(monkeypatch, s, t):
     # every configuration is built once, and every rule runs once for each
-    # configuration it is recorded as applied to: no verdict is broadcast
+    # configuration it is recorded as applied to: no verdict is broadcast.
+    # The 4,096 offset vectors of a (3, 64) frame make several chunks: four
+    # full ones at the default size, and four full ones and a partial one
+    # at 1000
+    monkeypatch.setenv("TORUSCERT_MAX_T", "64")
     calls = Counter()
     real_make_config, real_build_chain = certifier.make_config, certifier.build_chain
 
@@ -281,10 +298,13 @@ def test_applied_counts_match_calls(monkeypatch, s, t):
 
     monkeypatch.setattr(certifier, "make_config", counted_make_config)
     monkeypatch.setattr(certifier, "build_chain", counted_build_chain)
-    chain = certify_case(CaseParams(s, t, 6)).constraint_log[1:]
-    assert chain[0]["applied"] > 0
-    assert calls.pop("make_config") == chain[0]["applied"]
-    assert dict(calls) == {e["name"]: e["applied"] for e in chain if e["applied"]}
+    for batch in (DEFAULT_BATCH, 1000):
+        monkeypatch.setattr(certifier, "_BATCH", batch)
+        calls.clear()
+        chain = certify_case(CaseParams(s, t, 6)).constraint_log[1:]
+        assert chain[0]["applied"] > 0
+        assert calls.pop("make_config") == chain[0]["applied"]
+        assert dict(calls) == {e["name"]: e["applied"] for e in chain if e["applied"]}
 
 
 def test_certificates_are_deterministic_across_runs():
@@ -361,6 +381,26 @@ def _perfect_matchings(rest):
     for b in rest[1:]:
         for sub in _perfect_matchings([x for x in rest if x not in (a, b)]):
             yield ((a, b),) + sub
+
+
+def _components(n, links):
+    """The vertex sets of the components of ``links`` on vertices
+    ``0..n-1``, found by search."""
+    seen, parts = set(), set()
+    for root in range(n):
+        if root in seen:
+            continue
+        part, todo = {root}, [root]
+        while todo:
+            x = todo.pop()
+            for u, v in links:
+                for a, b in ((u, v), (v, u)):
+                    if a == x and b not in part:
+                        part.add(b)
+                        todo.append(b)
+        seen |= part
+        parts.add(frozenset(part))
+    return parts
 
 
 def reference_views(config, cls):
@@ -440,9 +480,13 @@ def _assert_frames_agree(classes, t):
             assert frame.positive == tuple(
                 (u, v, -p[v]) for i, (u, v) in enumerate(ends) if signs[i] == 1
             )
-            assert frame.positive_links == tuple(
-                (u, v) for i, (u, v) in enumerate(ends) if signs[i] == 1 and u != v
-            )
+            # the links are positive edges joining the vertices of each
+            # component of the positive edges, with none to spare
+            links = frame.positive_links
+            positive = [(u, v) for i, (u, v) in enumerate(ends) if signs[i] == 1]
+            parts = _components(s, positive)
+            assert set(links) <= set(positive)
+            assert _components(s, links) == parts and len(links) == s - len(parts)
             assert frame.negative == tuple(
                 (u, v, -p[v]) for i, (u, v) in enumerate(ends) if signs[i] == -1
             )

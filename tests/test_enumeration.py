@@ -245,6 +245,28 @@ def test_determinism_criterion_asks_for_a_pool_at_each_worker_count(process_coun
     assert process_counts == [2, 8]
 
 
+@pytest.mark.parametrize("platform", ["one usable core", "no fork start method"])
+def test_determinism_criterion_says_when_the_sweep_cannot_split(platform, monkeypatch):
+    # three in-process runs compare nothing about the split, so the
+    # criterion must not report them as the split's check
+    def get_context(method):
+        raise AssertionError("a child was forked")
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    if platform == "one usable core":
+        monkeypatch.setattr(enumeration, "_usable_cores", lambda: 1)
+    else:
+        monkeypatch.setattr(enumeration, "_usable_cores", lambda: 64)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    result = verify.criterion_determinism()
+    assert result.passed
+    assert result.details == (
+        "workers 1, 2, 8 byte-identical; the sweep could not split (one usable"
+        " core or no fork start method), so every worker count ran in process"
+    )
+    assert multiprocessing.active_children() == []
+
+
 def test_odd_degree_spec_is_empty():
     # a lone vertex of degree 5 admits no pairing of its dart ends
     assert enumerate_reduced_torus_graphs(1, degrees=(5,)) == ()
