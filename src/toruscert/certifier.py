@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from toruscert._version import ENGINE_NAME, ENGINE_VERSION
 from toruscert.enumeration import enumerate_reduced_torus_graphs
 from toruscert.errors import InvariantViolation, ScaleLimit
-from toruscert.fatgraph import FatGraph
+from toruscert.fatgraph import FatGraph, _spanning_forest
 from toruscert.params import NEUTRAL, POLARIZED, CaseParams, max_s, max_t
 
 
@@ -139,14 +139,12 @@ class Frame:
         self.positive = tuple((u, v, c) for u, v, sign, c in edges if sign == 1)
         # a spanning forest of the positive edges: offsets that agree in
         # parity across each of its links agree across every positive edge
-        comp = list(range(len(parities)))
-        links = []
-        for u, v, _ in self.positive:
-            a, b = comp[u], comp[v]
-            if a != b:
-                links.append((u, v))
-                comp = [a if x == b else x for x in comp]
-        self.positive_links = tuple(links)
+        taken = _spanning_forest(
+            len(parities), ((i, u, v) for i, (u, v, _) in enumerate(self.positive))
+        )
+        self.positive_links = tuple(
+            (u, v) for i, (u, v, _) in enumerate(self.positive) if i in taken
+        )
         self.negative = tuple((u, v, c) for u, v, sign, c in edges if sign == -1)
         self.all_positive = not self.negative
         self.types = vertex_types(self)

@@ -36,10 +36,6 @@ class Edge:
     sign: int
 
     @property
-    def is_loop(self):
-        return self.end_a.vertex == self.end_b.vertex
-
-    @property
     def labels(self):
         return (self.end_a.label, self.end_b.label)
 
@@ -87,10 +83,6 @@ class ParallelFamily:
     endpoints: tuple[int, int]
     label_seq_a: tuple[int, ...]
     label_seq_b: tuple[int, ...]
-
-    @property
-    def is_loop(self):
-        return self.endpoints[0] == self.endpoints[1]
 
 
 class EmbeddedGraph:

@@ -24,7 +24,14 @@ from toruscert import kernel
 
 
 class FatGraph:
-    """An embedded graph given by a rotation system."""
+    """An embedded graph given by a rotation system.
+
+    The square torus map: one vertex, two crossing loops, one face.
+
+    >>> g = FatGraph((4,), (2, 3, 0, 1))
+    >>> g.faces(), g.euler_characteristic()
+    (((0, 3, 2, 1),), 0)
+    """
 
     __slots__ = (
         "degrees", "matching", "_vert", "_rho", "_rho_inv", "_faces", "_ends",
@@ -45,33 +52,6 @@ class FatGraph:
         for a, b in enumerate(self.matching):
             if not 0 <= b < n or b == a or self.matching[b] != a:
                 raise ValueError("matching must be a fixed-point-free involution")
-
-    @classmethod
-    def from_vertex_cycles(cls, cycles):
-        """Build a fat graph from per-vertex cyclic edge-name sequences.
-
-        Each name must occur exactly twice overall; the two occurrences are
-        the two ends of one edge.
-
-        >>> g = FatGraph.from_vertex_cycles([["a", "b", "a", "b"]])
-        >>> g.num_vertices, g.num_edges, len(g.faces())
-        (1, 2, 1)
-        """
-        degrees = tuple(len(c) for c in cycles)
-        flat = [name for c in cycles for name in c]
-        n = len(flat)
-        where = {}
-        matching = [-1] * n
-        for d, name in enumerate(flat):
-            if name in where:
-                other = where.pop(name)
-                matching[d] = other
-                matching[other] = d
-            else:
-                where[name] = d
-        if where:
-            raise ValueError(f"unpaired edge names: {sorted(where)}")
-        return cls(degrees, matching)
 
     # -- basic counts -----------------------------------------------------
 
@@ -125,11 +105,6 @@ class FatGraph:
         """Edge indices whose two ends share a vertex."""
         return tuple(i for i, (u, v) in enumerate(self.edge_ends()) if u == v)
 
-    def loops_at(self, vertex):
-        return tuple(
-            i for i, (u, v) in enumerate(self.edge_ends()) if u == v == vertex
-        )
-
     # -- faces and the derived surface ------------------------------------
 
     def faces(self):
@@ -179,13 +154,6 @@ class FatGraph:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == nv
-
-    def genus(self):
-        """Genus of the derived surface; the graph must be connected."""
-        if not self.is_connected():
-            raise ValueError("genus is only defined for connected graphs")
-        chi = self.euler_characteristic()
-        return (2 - chi) // 2
 
     # -- homology of edge cycles ------------------------------------------
 
@@ -283,12 +251,6 @@ class FatGraph:
         """Loop edges that bound a disk in the derived surface: class 0."""
         classes = self._edge_classes()
         return tuple(i for i in self.loop_edges() if not any(classes[i]))
-
-    def is_reduced(self):
-        """No monogon or bigon faces, no parallel pair, no trivial loop."""
-        if any(len(f) < 3 for f in self.faces()):
-            return False
-        return not self.parallel_edge_pairs() and not self.trivial_loops()
 
     # -- reduction and expansion ------------------------------------------
 
@@ -416,39 +378,6 @@ class FatGraph:
                 new_matching[x] = y
                 new_matching[y] = x
         return FatGraph(new_degrees, new_matching), blocks
-
-    # -- canonical form ----------------------------------------------------
-
-    def canonical_key(self):
-        """Canonical key, equal for graphs related by vertex relabelling,
-        rotation of the cyclic orders, or global reflection."""
-        return kernel.canonical_code(self.degrees, self.matching)
-
-    def relabelled(self, vertex_order=None, rotations=None, reflect=False):
-        """A combinatorially equal graph with permuted labels.
-
-        ``vertex_order`` permutes vertices, ``rotations[v]`` rotates the dart
-        cycle at vertex ``v``, and ``reflect`` mirrors all rotations.  Used by
-        the canonical-form tests.
-        """
-        nv = self.num_vertices
-        vertex_order = list(vertex_order) if vertex_order else list(range(nv))
-        rotations = list(rotations) if rotations else [0] * nv
-        new_degrees = tuple(self.degrees[v] for v in vertex_order)
-        base_old = _first_darts(self.degrees)
-        base_new = _first_darts(new_degrees)
-        old_to_new = {}
-        for new_v, old_v in enumerate(vertex_order):
-            deg = self.degrees[old_v]
-            for k in range(deg):
-                kk = (k + rotations[new_v]) % deg
-                if reflect:
-                    kk = (deg - kk) % deg
-                old_to_new[base_old[old_v] + k] = base_new[new_v] + kk
-        new_matching = [-1] * self.num_darts
-        for a, b in enumerate(self.matching):
-            new_matching[old_to_new[a]] = old_to_new[b]
-        return FatGraph(new_degrees, new_matching)
 
     def __eq__(self, other):
         return (

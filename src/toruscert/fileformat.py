@@ -117,8 +117,3 @@ def dumps(g: EmbeddedGraph) -> str:
 def load(path) -> EmbeddedGraph:
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
-
-
-def dump(g: EmbeddedGraph, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(g))

@@ -21,7 +21,7 @@ class InducedPermutation:
     >>> p = InducedPermutation(modulus=4, alpha=1, epsilon=1)
     >>> p.mapping()
     (4, 3, 2, 1)
-    >>> p.orbits()
+    >>> orbit_count(p).orbits
     ((1, 4), (2, 3))
     """
 
@@ -49,18 +49,6 @@ class InducedPermutation:
 
     def fixed_points(self):
         return tuple(x for x in range(1, self.modulus + 1) if self.apply(x) == x)
-
-    def is_involution(self):
-        return all(self.apply(self.apply(x)) == x for x in range(1, self.modulus + 1))
-
-    def inverse(self):
-        """The permutation induced after reversing the family orientation."""
-        if self.epsilon == 1:
-            return self
-        return InducedPermutation(self.modulus, (-self.alpha) % self.modulus, -1)
-
-    def orbits(self):
-        return orbit_count(self).orbits
 
 
 @dataclass(frozen=True)
@@ -129,65 +117,3 @@ def orbit_count(p: InducedPermutation) -> OrbitDecomposition:
                 f"involution orbit formula {n}//2 != extracted {count}"
             )
     return OrbitDecomposition(orbits=tuple(orbits), count=count)
-
-
-@dataclass(frozen=True)
-class OrbitComponent:
-    vertices: tuple
-    edges: tuple
-
-
-@dataclass(frozen=True)
-class OrbitSubgraph:
-    """The subgraph generated in the partner graph by a family's edges.
-
-    Vertices are partner labels; each member edge of the family joins the
-    labels at its two ends.  The connected components are the edge orbits;
-    when the family has at least ``n`` members their label sets coincide with
-    the orbits of the induced permutation.
-    """
-
-    components: tuple
-
-    @property
-    def count(self):
-        return len(self.components)
-
-    def is_disjoint_two_cycles(self):
-        return all(
-            len(c.vertices) == 2 and len(c.edges) == 2 for c in self.components
-        )
-
-
-def edge_orbit_subgraph(family, n) -> OrbitSubgraph:
-    """Edge-orbit components of a family in its partner graph (by labels)."""
-    edges = list(zip(family.label_seq_a, family.label_seq_b))
-    adj = {}
-    for x, y in edges:
-        adj.setdefault(x, set()).add(y)
-        adj.setdefault(y, set()).add(x)
-    seen = set()
-    comps = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        stack = [start]
-        verts = set()
-        while stack:
-            v = stack.pop()
-            if v in verts:
-                continue
-            verts.add(v)
-            stack.extend(adj[v] - verts)
-        seen |= verts
-        comp_edges = tuple(
-            (x, y) for x, y in edges if x in verts
-        )
-        comps.append(OrbitComponent(vertices=tuple(sorted(verts)), edges=comp_edges))
-    if family.size >= n:
-        perm = induced_permutation(family, n)
-        orbit_sets = {frozenset(o) for o in orbit_count(perm).orbits}
-        comp_sets = {frozenset(c.vertices) for c in comps}
-        if orbit_sets != comp_sets:
-            raise InvariantViolation("edge orbits disagree with permutation orbits")
-    return OrbitSubgraph(components=tuple(comps))

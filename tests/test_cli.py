@@ -154,7 +154,7 @@ def test_lemma_rejects_values_below_one(argv):
 
 def test_lemma_with_graph_file(tmp_path, runner):
     path = tmp_path / "g.txt"
-    fileformat.dump(triple_loop_graph(4, offsets=(1,)), path)
+    path.write_text(fileformat.dumps(triple_loop_graph(4, offsets=(1,))))
     res = runner.invoke(cli, ["lemma", "degree-face", "--input", str(path), "--reduce"])
     assert res.exit_code == 0, res.output
     res = runner.invoke(cli, ["lemma", "s-cycles", "--input", str(path)])

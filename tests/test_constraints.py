@@ -13,8 +13,8 @@ from toruscert.constraints import (
 )
 from toruscert.embedded import build_graph, reduce_graph
 from toruscert.errors import NotCellular, WrongDelta
-from toruscert.fatgraph import FatGraph
 from tests.test_embedded import triple_loop_graph
+from tests.test_fatgraph import from_vertex_cycles
 
 
 def test_parity_rule_basic():
@@ -118,7 +118,7 @@ def test_no_s_cycle_for_gap_two_labels():
 
 
 def test_three_s_cycles_in_size_four_family_over_two_labels():
-    base = FatGraph.from_vertex_cycles(
+    base = from_vertex_cycles(
         [["a", "b", "c", "a", "d", "e"], ["b", "c", "f", "d", "e", "f"]]
     )
     expanded, _ = base.expand_edges(4)
@@ -157,10 +157,10 @@ def test_jn1_examples():
 
 
 def test_degree_face_dichotomy_on_small_graphs():
-    tri = FatGraph.from_vertex_cycles([["a", "b", "c", "a", "b", "c"]])
+    tri = from_vertex_cycles([["a", "b", "c", "a", "b", "c"]])
     assert check_reduced_torus_degrees(tri)
-    square = FatGraph.from_vertex_cycles([["a", "b", "a", "b"]])
+    square = from_vertex_cycles([["a", "b", "a", "b"]])
     assert check_reduced_torus_degrees(square)
-    sphere = FatGraph.from_vertex_cycles([["a", "a"]])
+    sphere = from_vertex_cycles([["a", "a"]])
     with pytest.raises(NotCellular):
         check_reduced_torus_degrees(sphere)

@@ -26,7 +26,7 @@ def test_round_trip():
         text = fileformat.dumps(g)
         back = fileformat.loads(text)
         assert fileformat.dumps(back) == text
-        assert back.fat.canonical_key() == g.fat.canonical_key()
+        assert back.fat == g.fat
         assert [e.sign for e in back.edges] == [e.sign for e in g.edges]
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from toruscert import kernel
 from toruscert.fatgraph import FatGraph
+from tests.test_fatgraph import relabelled
 
 # (degrees, whether every face of every class is a triangle): the defect
 # budget 3V - E is used up exactly when E = 3V
@@ -65,7 +66,7 @@ def random_standard_relabelling(rng, graph):
         for slot, v in zip(slots, moved):
             order[slot] = v
     rotations = [rng.randrange(graph.degrees[v]) for v in order]
-    return graph.relabelled(order, rotations, rng.random() < 0.5)
+    return relabelled(graph, order, rotations, rng.random() < 0.5)
 
 
 def triangulated(degrees, matching):
@@ -108,7 +109,7 @@ def least_relabelling(degrees, matching):
     """The least matching of a class by brute force: the minimum over every
     relabelling that keeps the standard rotation (each vertex permutation
     that keeps the degrees, each rotation at each vertex, both
-    orientations), built with ``FatGraph.relabelled``."""
+    orientations), built with :func:`tests.test_fatgraph.relabelled`."""
     graph = FatGraph(degrees, matching)
     orders = [
         order
@@ -116,7 +117,7 @@ def least_relabelling(degrees, matching):
         if tuple(degrees[v] for v in order) == tuple(degrees)
     ]
     return min(
-        graph.relabelled(order, rotations, reflect).matching
+        relabelled(graph, order, rotations, reflect).matching
         for order in orders
         for rotations in itertools.product(*(range(degrees[v]) for v in order))
         for reflect in (False, True)

@@ -9,11 +9,17 @@ from toruscert.embedded import reduce_graph
 from toruscert.errors import FamilyTooSmall
 from toruscert.perms import (
     InducedPermutation,
-    edge_orbit_subgraph,
     induced_permutation,
     orbit_count,
 )
 from tests.test_embedded import triple_loop_graph, two_vertex_graph
+
+
+def inverse(p):
+    """The permutation induced after reversing the family orientation."""
+    if p.epsilon == 1:
+        return p
+    return InducedPermutation(p.modulus, (-p.alpha) % p.modulus, -1)
 
 
 def brute_orbits(p):
@@ -77,14 +83,14 @@ def test_orbit_formulas_match_brute_force_everywhere():
 @given(n=st.integers(1, 24), alpha=st.integers(0, 23))
 def test_positive_families_are_involutions(n, alpha):
     p = InducedPermutation(n, alpha % n, 1)
-    assert p.is_involution()
+    assert all(p.apply(p.apply(x)) == x for x in range(1, n + 1))
 
 
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(1, 24), alpha=st.integers(0, 23))
 def test_reversal_inverts(n, alpha):
     p = InducedPermutation(n, alpha % n, -1)
-    q = p.inverse()
+    q = inverse(p)
     for x in range(1, n + 1):
         assert q.apply(p.apply(x)) == x
 
@@ -123,36 +129,21 @@ def test_family_too_small():
 
 
 def test_orbit_subgraph_two_cycles():
-    # positive family of even size t: t/2 disjoint 2-cycles
+    # the edge components of a full-size family in its partner graph are the
+    # orbits of its induced permutation; a positive family of even size t
+    # with no fixed point makes t/2 disjoint 2-cycles
     t = 6
-    red = reduce_graph(triple_loop_graph(t, offsets=(1,)))
-    fam = red.families[0]
-    p = induced_permutation(fam, t)
-    sub = edge_orbit_subgraph(fam, t)
-    if not p.fixed_points():
-        assert sub.count == t // 2
-        assert sub.is_disjoint_two_cycles()
-
-
-def test_orbit_subgraph_single_cycle_and_single_edge():
-    class Translation:
-        # a negative family of size 6 matching x -> x + 1, one 6-cycle
-        size = 6
-        sign = -1
-        label_seq_a = (1, 2, 3, 4, 5, 6)
-        label_seq_b = (2, 3, 4, 5, 6, 1)
-
-    p = induced_permutation(Translation(), 6)
-    assert orbit_count(p).count == 1
-    assert edge_orbit_subgraph(Translation(), 6).count == 1
-
-    class Fake:
-        size = 1
-        sign = 1
-        label_seq_a = (2,)
-        label_seq_b = (5,)
-
-    sub = edge_orbit_subgraph(Fake(), 6)
-    assert sub.count == 1
-    assert sub.components[0].vertices == (2, 5)
-    assert sub.components[0].edges == ((2, 5),)
+    two_cycles = 0
+    for g in (triple_loop_graph(t, offsets=(1,)), two_vertex_graph(t, (1, -1))):
+        for fam in reduce_graph(g).families:
+            parts = {x: frozenset([x]) for x in range(1, t + 1)}
+            for x, y in zip(fam.label_seq_a, fam.label_seq_b):
+                merged = parts[x] | parts[y]
+                parts.update(dict.fromkeys(merged, merged))
+            p = induced_permutation(fam, t)
+            orbits = orbit_count(p).orbits
+            assert set(parts.values()) == {frozenset(o) for o in orbits}
+            if fam.sign == 1 and not p.fixed_points():
+                assert sorted(map(len, orbits)) == [2] * (t // 2)
+                two_cycles += 1
+    assert two_cycles
