@@ -22,6 +22,23 @@ def inverse(p):
     return InducedPermutation(p.modulus, (-p.alpha) % p.modulus, -1)
 
 
+def edge_components(family):
+    """Components of the subgraph a family's edges span among partner labels.
+
+    Each member edge joins the labels at its two ends; returns a tuple of
+    ``(vertices, edges)`` pairs, vertices sorted, in order of least vertex.
+    """
+    edges = tuple(zip(family.label_seq_a, family.label_seq_b))
+    parts = {}
+    for x, y in edges:
+        merged = parts.get(x, frozenset([x])) | parts.get(y, frozenset([y]))
+        parts.update(dict.fromkeys(merged, merged))
+    return tuple(
+        (tuple(sorted(c)), tuple(e for e in edges if e[0] in c))
+        for c in sorted(set(parts.values()), key=min)
+    )
+
+
 def brute_orbits(p):
     """Independent cycle extraction used as the oracle."""
     n = p.modulus
@@ -136,14 +153,35 @@ def test_orbit_subgraph_two_cycles():
     two_cycles = 0
     for g in (triple_loop_graph(t, offsets=(1,)), two_vertex_graph(t, (1, -1))):
         for fam in reduce_graph(g).families:
-            parts = {x: frozenset([x]) for x in range(1, t + 1)}
-            for x, y in zip(fam.label_seq_a, fam.label_seq_b):
-                merged = parts[x] | parts[y]
-                parts.update(dict.fromkeys(merged, merged))
+            comps = edge_components(fam)
             p = induced_permutation(fam, t)
             orbits = orbit_count(p).orbits
-            assert set(parts.values()) == {frozenset(o) for o in orbits}
+            assert {frozenset(v) for v, _ in comps} == {
+                frozenset(o) for o in orbits
+            }
             if fam.sign == 1 and not p.fixed_points():
                 assert sorted(map(len, orbits)) == [2] * (t // 2)
+                assert all(len(v) == 2 and len(e) == 2 for v, e in comps)
                 two_cycles += 1
     assert two_cycles
+
+
+def test_orbit_subgraph_single_cycle_and_single_edge():
+    class Translation:
+        # a negative family of size 6 matching x -> x + 1, one 6-cycle
+        size = 6
+        sign = -1
+        label_seq_a = (1, 2, 3, 4, 5, 6)
+        label_seq_b = (2, 3, 4, 5, 6, 1)
+
+    p = induced_permutation(Translation(), 6)
+    assert orbit_count(p).count == 1
+    assert len(edge_components(Translation())) == 1
+
+    class Fake:
+        size = 1
+        sign = 1
+        label_seq_a = (2,)
+        label_seq_b = (5,)
+
+    assert edge_components(Fake()) == (((2, 5), ((2, 5),)),)
